@@ -1,10 +1,9 @@
-"""Bench kernel — calendar vs heap event kernel on the figure-8a sweep.
+"""Bench kernel — event-queue throughput on the figure-8a sweep.
 
-Runs the smoke sweep under both kernels (asserting bit-identical
-results), prints the events/sec comparison, and writes the top-level
-``BENCH_kernel.json`` artifact that tracks the perf trajectory.  Scale
-with REPRO_BENCH_NODES / REPRO_BENCH_MESSAGES; parallelize with
-REPRO_BENCH_JOBS.
+Runs the smoke sweep, prints events/sec in aggregate and per fabric, and
+writes the top-level ``BENCH_kernel.json`` artifact that tracks the perf
+trajectory.  Scale with REPRO_BENCH_NODES / REPRO_BENCH_MESSAGES;
+parallelize with REPRO_BENCH_JOBS.
 """
 
 from repro.experiments import (
@@ -29,7 +28,6 @@ def test_kernel_bench(benchmark):
     print()
     print(format_kernel_bench(payload))
     write_kernel_bench(payload)
-    assert payload["results_identical"]
-    # The raw kernel must beat the heap clearly once the queue is deep.
-    deepest = payload["kernel_microbench"]["rows"][-1]
-    assert deepest["speedup"] > 1.5
+    assert payload["sweep"]["events_per_s"] > 0
+    assert len(payload["sweep"]["by_fabric"]) == 7
+    assert payload["sharded"]["results_identical"]

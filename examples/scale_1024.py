@@ -1,4 +1,4 @@
-"""A 1024-node scale point — the sweep size the calendar kernel unlocks.
+"""A 1024-node scale point for the queueing-substrate fabrics.
 
 The paper evaluates a 144-node cluster (§4.3); the ROADMAP pushes toward
 production scale.  This example runs the §4.3.1 microbenchmark on a
@@ -13,7 +13,7 @@ support it (EDM; note EDM's 9-bit node ids cap it at ``--nodes 512``).
 Run::
 
     PYTHONPATH=src python examples/scale_1024.py [--nodes 1024]
-    [--messages 20000] [--kernel calendar|heap] [--fabrics IRD,DCTCP]
+    [--messages 20000] [--fabrics IRD,DCTCP]
     [--shards 4]
 """
 
@@ -33,7 +33,6 @@ def build_arg_parser(
     parser.add_argument("--messages", type=int, default=20_000)
     parser.add_argument("--load", type=float, default=0.7)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--kernel", type=str, default="calendar")
     parser.add_argument("--fabrics", type=str, default=fabrics)
     parser.add_argument(
         "--shards", type=int, default=1,
@@ -48,14 +47,12 @@ def run_point(
     *,
     nodes: int,
     seed: int,
-    kernel: str,
     shards: int = 1,
     deadline_ns: float = 50_000_000.0,
 ) -> None:
     """Run one fabric over ``messages`` and print its scale report line."""
     config = ClusterConfig(
-        num_nodes=nodes, link_gbps=100.0, seed=seed, kernel=kernel,
-        shards=shards,
+        num_nodes=nodes, link_gbps=100.0, seed=seed, shards=shards,
     )
     fabric = fabric_by_name(name, config)
     sharded = shards > 1 and fabric.supports_sharding
@@ -65,7 +62,7 @@ def run_point(
     wall = time.perf_counter() - start
     events = process_events_executed() - events_before
     mean = result.mean_latency_ns()
-    mode = f"{shards} shards" if sharded else f"{kernel} kernel"
+    mode = f"{shards} shards" if sharded else "serial"
     print(
         f"{name:>9}: {len(result.records)}/{len(messages)} completed, "
         f"mean latency {mean:8.1f} ns | {events} events in {wall:.2f}s "
@@ -86,8 +83,7 @@ def main() -> None:
     for name in args.fabrics.split(","):
         run_point(
             name, messages,
-            nodes=args.nodes, seed=args.seed,
-            kernel=args.kernel, shards=args.shards,
+            nodes=args.nodes, seed=args.seed, shards=args.shards,
         )
 
 

@@ -3,8 +3,8 @@
 Two halves, both riding :func:`scale_1024.run_point` as the driver:
 
 1. The queueing-substrate fabrics (IRD, DCTCP) at 8192 nodes — node
-   count is unbounded for them, so this is the raw "how far does the
-   calendar kernel take us" demo.
+   count is unbounded for them, so this is the raw "how far does one
+   event queue take us" demo.
 2. EDM serial vs ``--shards N``: EDM's wire format carries 9-bit node
    ids (§3.1.4), so its cluster tops out at 512 nodes; its scale axis is
    event density, and sharding splits that event load across forked
@@ -15,7 +15,7 @@ Two halves, both riding :func:`scale_1024.run_point` as the driver:
 Run::
 
     PYTHONPATH=src python examples/scale_8192.py [--nodes 8192]
-    [--messages 20000] [--kernel calendar|heap] [--shards 4]
+    [--messages 20000] [--shards 4]
 """
 
 import os
@@ -47,7 +47,7 @@ def main() -> None:
     for name in args.fabrics.split(","):
         run_point(
             name, messages,
-            nodes=args.nodes, seed=args.seed, kernel=args.kernel,
+            nodes=args.nodes, seed=args.seed,
         )
 
     print(
@@ -64,8 +64,7 @@ def main() -> None:
     for n in (1, shards):
         run_point(
             "EDM", edm_messages,
-            nodes=EDM_MAX_NODES, seed=args.seed, kernel=args.kernel,
-            shards=n,
+            nodes=EDM_MAX_NODES, seed=args.seed, shards=n,
         )
 
 

@@ -46,7 +46,6 @@ from repro.experiments import (
 from repro.execution import new_checkpoint_path
 from repro.latency.breakdown import format_breakdown, read_breakdown, write_breakdown
 from repro.latency.table1 import format_table1
-from repro.sim.engine import DEFAULT_KERNEL, KERNELS
 
 
 def _cmd_table1(_: argparse.Namespace) -> None:
@@ -178,7 +177,6 @@ def _figure8a_options(args: argparse.Namespace) -> Dict[str, Any]:
         message_count=args.messages,
         seed=args.seed,
         fabric_names=_parse_fabrics(args.fabrics),
-        kernel=args.kernel,
         shards=args.shards,
         topology=args.topology,
     )
@@ -191,7 +189,6 @@ def _figure8b_options(args: argparse.Namespace) -> Dict[str, Any]:
         message_count=args.messages,
         seed=args.seed,
         fabric_names=_parse_fabrics(args.fabrics),
-        kernel=args.kernel,
         shards=args.shards,
         topology=args.topology,
     )
@@ -220,7 +217,6 @@ _RUN_FLAG_DEFAULTS = {
     "families": "",
     "profiles": "",
     "ops_per_client": 0,
-    "kernel": DEFAULT_KERNEL,
     "shards": 1,
     "topology": "single",
 }
@@ -329,7 +325,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
             # Canonical ablation seed is 3 (what the benchmarks use).
             "seed": 3 if args.seed is None else args.seed,
             "message_count": args.messages or None,
-            "kernel": args.kernel,
         }
         if args.families:
             options["families"] = tuple(args.families.split(","))
@@ -339,7 +334,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
             name, args,
             (
                 "nodes", "messages", "seed", "loads", "apps", "fabrics",
-                "families", "profiles", "ops_per_client", "kernel", "shards",
+                "families", "profiles", "ops_per_client", "shards",
                 "topology",
             ),
         )
@@ -376,8 +371,6 @@ def _serving_options(args: argparse.Namespace) -> Dict[str, Any]:
         options["ops_per_client"] = args.ops_per_client
     if args.nodes:
         options["num_nodes"] = args.nodes
-    if args.kernel != DEFAULT_KERNEL:
-        options["kernel"] = args.kernel
     return options
 
 
@@ -392,8 +385,6 @@ def _scenario_options(args: argparse.Namespace) -> Dict[str, Any]:
         options["num_nodes"] = args.nodes
     if args.messages:
         options["message_count"] = args.messages
-    if args.kernel != DEFAULT_KERNEL:
-        options["kernel"] = args.kernel
     if getattr(args, "shards", 1) != 1:
         options["shards"] = args.shards
     if getattr(args, "topology", "single") != "single":
@@ -508,10 +499,6 @@ def _add_scale_args(
     parser.add_argument(
         "--fabrics", type=str, default="",
         help="comma-separated fabric names (default: all seven)",
-    )
-    parser.add_argument(
-        "--kernel", type=str, default=DEFAULT_KERNEL, choices=KERNELS,
-        help="event-queue kernel (results are bit-identical across kernels)",
     )
     parser.add_argument(
         "--shards", type=int, default=1,
@@ -632,10 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override every scenario's seed (default: spec value)",
     )
     scenario_run.add_argument(
-        "--kernel", type=str, default=DEFAULT_KERNEL, choices=KERNELS,
-        help="event-queue kernel (results are bit-identical across kernels)",
-    )
-    scenario_run.add_argument(
         "--shards", type=int, default=1,
         help="conservative-parallel shards per simulation (EDM scenarios "
         "only; errors on fabrics without sharding support)",
@@ -662,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench-kernel",
-        help="figure-8a smoke sweep under both kernels -> BENCH_kernel.json",
+        help="figure-8a smoke sweep events/sec -> BENCH_kernel.json",
     )
     bench.add_argument("--nodes", type=int, default=16)
     bench.add_argument("--messages", type=int, default=4000)

@@ -48,7 +48,7 @@ class WorkloadError(ReproError):
 
 
 class BenchmarkError(ReproError):
-    """A benchmark invariant failed (e.g. kernels diverged)."""
+    """A benchmark invariant failed (e.g. a sharded replay diverged)."""
 
 
 class ConfigError(ReproError):

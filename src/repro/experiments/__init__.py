@@ -43,7 +43,6 @@ from repro.experiments.benchgate import (
 )
 from repro.experiments.kernelbench import (
     format_kernel_bench,
-    kernel_microbench,
     run_kernel_bench,
     write_kernel_bench,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "format_serving_results",
     "serving_profile",
     "serving_profiles",
-    "kernel_microbench",
     "run_kernel_bench",
     "write_kernel_bench",
     "get_experiment",

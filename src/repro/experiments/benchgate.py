@@ -9,18 +9,13 @@ tolerance is generous: the gate exists to catch the order-of-magnitude
 "someone put a Python loop back in the hot path" regressions, not 5%
 noise.
 
-Compared series, when present in both payloads:
+Gated series, when present in the baseline:
 
-* ``sweep.<kernel>.events_per_s`` — end-to-end figure-8a sweep
-  throughput per event kernel (the headline number).  These *gate*.
-* ``sweep.<kernel>.by_fabric.<fabric>.events_per_s`` — the same sweep
-  split per fabric model.  These *gate* too: the aggregate can hide a
-  one-fabric regression behind speedups elsewhere.  Baselines that
-  predate the per-fabric split simply lack the series and gate on the
-  aggregate alone.
-* ``kernel_microbench.rows[depth].<kernel>_ops_per_s`` — raw queue-op
-  throughput at each depth.  Reported for context, never gated: raw ops
-  are the most machine-sensitive number in the payload.
+* ``sweep.events_per_s`` — end-to-end figure-8a sweep throughput (the
+  headline number).
+* ``sweep.by_fabric.<fabric>.events_per_s`` — the same sweep split per
+  fabric model: the aggregate can hide a one-fabric regression behind
+  speedups elsewhere.
 
 A baseline generated from a dirty working tree draws a loud warning (see
 :func:`baseline_warnings`): its numbers describe code that was never
@@ -67,22 +62,14 @@ def gate_tolerance_pct(override: Optional[float] = None) -> float:
 def _series(payload: Dict[str, Any]) -> Dict[str, float]:
     """Flatten a bench payload into named throughput series."""
     out: Dict[str, float] = {}
-    for kernel, sweep in (payload.get("sweep") or {}).items():
-        value = sweep.get("events_per_s")
-        if value:
-            out[f"sweep.{kernel}.events_per_s"] = float(value)
-        for fabric, agg in (sweep.get("by_fabric") or {}).items():
-            fabric_value = agg.get("events_per_s")
-            if fabric_value:
-                out[f"sweep.{kernel}.by_fabric.{fabric}.events_per_s"] = float(
-                    fabric_value
-                )
-    micro = (payload.get("kernel_microbench") or {}).get("rows") or []
-    for row in micro:
-        depth = row.get("depth")
-        for key, value in row.items():
-            if key.endswith("_ops_per_s") and value:
-                out[f"microbench.depth{depth}.{key}"] = float(value)
+    sweep = payload.get("sweep") or {}
+    value = sweep.get("events_per_s")
+    if value:
+        out["sweep.events_per_s"] = float(value)
+    for fabric, agg in (sweep.get("by_fabric") or {}).items():
+        fabric_value = agg.get("events_per_s")
+        if fabric_value:
+            out[f"sweep.by_fabric.{fabric}.events_per_s"] = float(fabric_value)
     return out
 
 
@@ -150,8 +137,6 @@ def gate_failures(
         raise BenchmarkError("baseline payload carries no throughput series")
     failures: List[str] = []
     for name, base in sorted(base_series.items()):
-        if not name.startswith("sweep."):
-            continue
         cur = cur_series.get(name)
         if cur is None:
             # A gated series that vanished (or collapsed to zero — _series
@@ -183,26 +168,22 @@ def gate_report(
     lines = [f"bench gate (tolerance {tolerance:g}% drop):"]
     for warning in baseline_warnings(baseline):
         lines.append(f"  WARNING: {warning}")
-    for kernel, sweep in sorted((current.get("sweep") or {}).items()):
-        retried = sweep.get("retried_cells") or sweep.get("resumed_cells")
-        if retried:
-            # perf_summary / by_fabric already exclude these cells from
-            # every events_per_s series, so the gate still sees clean
-            # timings — this line just keeps the exclusion visible.
-            lines.append(
-                f"  note: sweep.{kernel} excluded retried/resumed cells "
-                f"from its throughput series (gate ignores retried-cell "
-                f"wall times)"
-            )
+    sweep = current.get("sweep") or {}
+    if sweep.get("retried_cells") or sweep.get("resumed_cells"):
+        # perf_summary / by_fabric already exclude these cells from
+        # every events_per_s series, so the gate still sees clean
+        # timings — this line just keeps the exclusion visible.
+        lines.append(
+            "  note: sweep excluded retried/resumed cells from its "
+            "throughput series (gate ignores retried-cell wall times)"
+        )
     for name, base in sorted(base_series.items()):
         cur = cur_series.get(name)
         if cur is None:
             lines.append(f"  {name:<44} baseline-only, skipped")
             continue
         delta = 100.0 * (cur - base) / base if base else 0.0
-        if not name.startswith("sweep."):
-            verdict = "info (not gated)"
-        elif cur < base * (1.0 - tolerance / 100.0):
+        if cur < base * (1.0 - tolerance / 100.0):
             verdict = "FAIL"
         else:
             verdict = "ok"

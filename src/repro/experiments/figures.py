@@ -26,7 +26,6 @@ from repro.fabrics import ClusterConfig, fabric_by_name, fabric_names
 from repro.fabrics.base import Fabric, OfferedMessage
 from repro.latency.breakdown import read_breakdown, total_ns, write_breakdown
 from repro.latency.table1 import compute_table1, latency_ratios
-from repro.sim.engine import DEFAULT_KERNEL
 from repro.experiments.runner import (
     Cell,
     ExperimentSpec,
@@ -192,12 +191,7 @@ def run_figure7(link_gbps: float = 100.0, jobs: int = 1) -> List[Dict[str, objec
 
 @dataclass(frozen=True)
 class Figure8aScale:
-    """Simulation scale for Figure 8a (paper: 144 nodes, 100 Gbps).
-
-    ``kernel`` picks the event-queue implementation for every simulator
-    in the sweep (``"calendar"`` or the ``"heap"`` fallback); results
-    are bit-identical either way.
-    """
+    """Simulation scale for Figure 8a (paper: 144 nodes, 100 Gbps)."""
 
     num_nodes: int = 144
     link_gbps: float = 100.0
@@ -205,7 +199,6 @@ class Figure8aScale:
     seed: int = 1
     deadline_ns: float = 2_000_000_000.0
     fabric_names: Optional[Sequence[str]] = None  # None = all seven
-    kernel: str = DEFAULT_KERNEL
     #: Conservative-parallel shards per simulation.  Fabrics that support
     #: sharding (EDM) split their event loop; the rest run serial — both
     #: produce bit-identical artifacts either way, so this is purely a
@@ -239,7 +232,6 @@ def _scale_params(scale) -> Dict[str, object]:
         "link_gbps": scale.link_gbps,
         "message_count": scale.message_count,
         "deadline_ns": scale.deadline_ns,
-        "kernel": getattr(scale, "kernel", DEFAULT_KERNEL),
         "shards": getattr(scale, "shards", 1),
         "topology": getattr(scale, "topology", "single"),
     }
@@ -250,7 +242,6 @@ def _cluster_config(cell: Cell) -> ClusterConfig:
         num_nodes=cell.param("num_nodes"),
         link_gbps=cell.param("link_gbps"),
         seed=cell.seed,
-        kernel=cell.param("kernel", DEFAULT_KERNEL),
         shards=cell.param("shards", 1),
         topology=cell.param("topology", "single"),
     )
@@ -440,7 +431,6 @@ class Figure8bScale:
     seed: int = 1
     deadline_ns: float = 5_000_000_000.0
     fabric_names: Optional[Sequence[str]] = None
-    kernel: str = DEFAULT_KERNEL
     #: Conservative-parallel shards per simulation (see Figure8aScale).
     shards: int = 1
     #: Substrate topology spec string (see Figure8aScale).

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import FabricError
 from repro.sim.context import SimContext, StatsSink
-from repro.sim.engine import DEFAULT_KERNEL, KERNELS, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 from repro.topology.spec import SINGLE, TopologySpec, parse_topology
 
@@ -161,12 +161,7 @@ class FabricResult:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Shared cluster parameters (§4.3: 144 nodes, 100 Gbps, single switch).
-
-    ``kernel`` selects the event-queue implementation for every simulator
-    the fabric builds: ``"calendar"`` (the fast default) or ``"heap"``
-    (the reference fallback).  Both replay identical event orders.
-    """
+    """Shared cluster parameters (§4.3: 144 nodes, 100 Gbps, single switch)."""
 
     num_nodes: int = 144
     link_gbps: float = 100.0
@@ -174,7 +169,6 @@ class ClusterConfig:
     chunk_bytes: int = 256
     max_active_per_pair: int = 3
     seed: int = 0
-    kernel: str = DEFAULT_KERNEL
     #: Conservative-parallel shards for a single run (1 = serial).  Only
     #: fabrics with ``supports_sharding`` honour values above 1; the
     #: sharded replay is bit-identical to serial (docs/DETERMINISM.md).
@@ -199,10 +193,6 @@ class ClusterConfig:
             raise FabricError(f"link rate must be positive: {self.link_gbps}")
         if self.seed < 0:
             raise FabricError(f"seed must be non-negative: {self.seed}")
-        if self.kernel not in KERNELS:
-            raise FabricError(
-                f"unknown kernel {self.kernel!r} (choose from {', '.join(KERNELS)})"
-            )
         if self.shards < 1:
             raise FabricError(f"shards must be >= 1: {self.shards}")
         if self.shards > 1:
@@ -268,7 +258,7 @@ class Fabric(abc.ABC):
         the unloaded-baseline probes) never see each other's clock.
         """
         return SimContext(
-            sim=Simulator(kernel=self.config.kernel),
+            sim=Simulator(),
             rng=self.rng,
             stats=StatsSink(),
         )

@@ -102,8 +102,7 @@ class EdmCluster:
 
     All components share one :class:`SimContext` (clock + RNG + stats) but
     schedule through per-component seq lanes; pass ``context`` to join a
-    cluster to an existing simulation, else a fresh one is created with
-    the config's kernel.
+    cluster to an existing simulation, else a fresh one is created.
 
     With ``plan``/``runtime`` set, only the components this shard owns are
     built: links whose far end lives elsewhere become
@@ -128,9 +127,7 @@ class EdmCluster:
         if (plan is None) != (runtime is None):
             raise FabricError("sharded builds need both plan and runtime")
         self.config = config
-        self.ctx = context if context is not None else SimContext(
-            sim=Simulator(kernel=config.kernel)
-        )
+        self.ctx = context if context is not None else SimContext(sim=Simulator())
         self.sim = self.ctx.sim
         self.router = CompletionRouter()
         scheduler_config = SchedulerConfig(
@@ -386,7 +383,7 @@ def _launch_offered(
         def on_write_done(completion: Completion, offered=message) -> None:
             # Reached only when src and dst share a shard (the completion
             # fires at the memory node, where this callback is registered
-            # only if the issuing NIC lives in the same kernel).
+            # only if the issuing NIC lives in the same shard).
             sink.append(
                 (HOST_LANE_BASE + offered.dst, completion.completed_at, offered.uid)
             )
@@ -415,7 +412,7 @@ def _build_edm_shard(
     # disjoint ranges leave the replay bit-identical; in-process mode
     # simply ends up with one (still unique) reassigned counter.
     _messages._msg_counter = itertools.count(shard_id << 48)
-    ctx = SimContext(sim=Simulator(kernel=config.kernel), rng=make_rng(config.seed))
+    ctx = SimContext(sim=Simulator(), rng=make_rng(config.seed))
     runtime = ShardRuntime(shard_id, ctx.sim)
     cluster = EdmCluster(
         config,
@@ -564,7 +561,7 @@ class EdmFabric(Fabric):
             offered = len(messages)
         else:
             # A streaming Workload (or any time-ordered iterable): inject
-            # lazily through the kernel, one chunk of arrivals at a time,
+            # lazily through the event queue, one chunk of arrivals at a time,
             # so resident memory stays O(1) in message count.  The
             # feeder's deterministic seq ordering keeps the event order
             # identical to the materialized batch path.

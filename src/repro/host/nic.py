@@ -454,7 +454,7 @@ class EdmHostNic(Process):
             return
         # Grants piled up while the memory read was in flight (nonzero DRAM
         # latency): emit the whole granted circuit as one coalesced link
-        # batch — one kernel injection for N chunks instead of N.
+        # batch — one queue injection for N chunks instead of N.
         batch: list = []
         self._emit_chunk(grant, batch)
         while pending:

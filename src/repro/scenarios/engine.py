@@ -110,7 +110,6 @@ def run_scenario(spec: ScenarioSpec) -> Dict[str, object]:
         num_nodes=spec.num_nodes,
         link_gbps=spec.link_gbps,
         seed=spec.seed,
-        kernel=spec.kernel,
         shards=spec.shards,
         topology=spec.topology,
     )
@@ -181,7 +180,6 @@ def _scenario_cells(
     seed: Optional[int] = None,
     num_nodes: Optional[int] = None,
     message_count: Optional[int] = None,
-    kernel: Optional[str] = None,
     shards: Optional[int] = None,
     topology: Optional[str] = None,
 ) -> List[Cell]:
@@ -201,8 +199,6 @@ def _scenario_cells(
             overrides["num_nodes"] = num_nodes
         if message_count is not None:
             overrides["message_count"] = message_count
-        if kernel is not None:
-            overrides["kernel"] = kernel
         if shards is not None:
             overrides["shards"] = shards
         if topology is not None:
@@ -226,7 +222,6 @@ def _scenario_cell(cell: Cell) -> Dict[str, object]:
             num_nodes=cell.param("num_nodes"),
             message_count=cell.param("message_count"),
             seed=cell.seed,
-            kernel=cell.param("kernel"),
             shards=cell.param("shards"),
             topology=cell.param("topology"),
         )

@@ -3,7 +3,7 @@
 The injector attaches through a fabric's ``topology_hook`` (see
 :class:`repro.topology.SubstrateTopology`): it receives the run's
 switches and links after wiring and schedules every fault through the
-event kernel's ``post_at``, so faults replay deterministically in the
+simulator's ``post_at``, so faults replay deterministically in the
 same total event order as the workload itself.  Link faults schedule
 *one event per affected link, on that link's own simulator handle* —
 under conservative sharding each link lives in exactly one shard with

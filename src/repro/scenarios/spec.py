@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ScenarioError, TopologyError
 from repro.fabrics import fabric_info
-from repro.sim.engine import DEFAULT_KERNEL, KERNELS
 from repro.topology.spec import parse_topology
 
 #: Fault kinds the injector understands.
@@ -196,7 +195,6 @@ class ScenarioSpec:
     link_gbps: float = 100.0
     seed: int = 0
     deadline_ns: Optional[float] = None
-    kernel: str = DEFAULT_KERNEL
     #: Conservative-parallel shards for the fabric simulation (1 = serial).
     #: Only fabrics advertising ``supports_sharding`` accept values above
     #: 1; the engine rejects the rest up front so a --shards override never
@@ -243,10 +241,6 @@ class ScenarioSpec:
             raise ScenarioError(f"cluster needs >= 2 nodes: {self.num_nodes}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be non-negative: {self.seed}")
-        if self.kernel not in KERNELS:
-            raise ScenarioError(
-                f"unknown kernel {self.kernel!r} (choose from {', '.join(KERNELS)})"
-            )
         if self.deadline_ns is not None and self.deadline_ns <= 0:
             raise ScenarioError(f"deadline must be positive: {self.deadline_ns}")
         if self.shards < 1:
@@ -297,7 +291,6 @@ class ScenarioSpec:
         num_nodes: Optional[int] = None,
         message_count: Optional[int] = None,
         seed: Optional[int] = None,
-        kernel: Optional[str] = None,
         shards: Optional[int] = None,
         topology: Optional[str] = None,
     ) -> "ScenarioSpec":
@@ -315,7 +308,6 @@ class ScenarioSpec:
             workload=workload,
             num_nodes=num_nodes if num_nodes is not None else self.num_nodes,
             seed=seed if seed is not None else self.seed,
-            kernel=kernel if kernel is not None else self.kernel,
             shards=shards if shards is not None else self.shards,
             topology=topology if topology is not None else self.topology,
         )
@@ -331,7 +323,6 @@ class ScenarioSpec:
             "link_gbps": self.link_gbps,
             "seed": self.seed,
             "deadline_ns": self.deadline_ns,
-            "kernel": self.kernel,
             "shards": self.shards,
             "topology": self.topology,
         }

@@ -2,8 +2,6 @@
 
 from repro.sim.context import SimContext, StatsSink
 from repro.sim.engine import (
-    DEFAULT_KERNEL,
-    KERNELS,
     EventHandle,
     Process,
     Simulator,
@@ -21,10 +19,8 @@ from repro.sim.stats import (
 )
 
 __all__ = [
-    "DEFAULT_KERNEL",
     "DuplexLink",
     "EventHandle",
-    "KERNELS",
     "LatencyRecorder",
     "Link",
     "MctRecorder",

@@ -7,7 +7,7 @@ shares — the event clock, the seeded random stream, and the statistics
 sinks — so hosts, switches, and links built for the same run observe the
 same time base and report into the same place::
 
-    ctx = SimContext.create(seed=3, kernel="calendar")
+    ctx = SimContext.create(seed=3)
     switch = EdmSwitch(ctx, scheduler_config)      # Process accepts a context
     ctx.stats.incr("frames_forwarded")
     ctx.sim.run()
@@ -21,7 +21,7 @@ context whose ``sim`` is a :class:`~repro.sim.engine.LaneView`: same
 clock, same queue, same RNG and stats sinks, but a private sequence-number
 stream ``(lane << LANE_SHIFT) | n``.  Components built on lane contexts
 produce event keys that do not depend on the global interleaving of
-scheduling calls, which is what lets per-shard kernels merge their event
+scheduling calls, which is what lets per-shard simulators merge their event
 streams back into the exact serial order (see docs/DETERMINISM.md).
 """
 
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.sim.engine import DEFAULT_KERNEL, LaneView, Simulator
+from repro.sim.engine import LaneView, Simulator
 from repro.sim.rng import SeedLike, make_rng
 
 
@@ -87,11 +87,9 @@ class SimContext:
         self.stats = stats if stats is not None else StatsSink()
 
     @classmethod
-    def create(
-        cls, seed: SeedLike = 0, kernel: str = DEFAULT_KERNEL
-    ) -> "SimContext":
+    def create(cls, seed: SeedLike = 0) -> "SimContext":
         """Build a fresh context with its own simulator and seeded RNG."""
-        return cls(sim=Simulator(kernel=kernel), rng=make_rng(seed))
+        return cls(sim=Simulator(), rng=make_rng(seed))
 
     def lane(self, lane: int) -> "SimContext":
         """A sibling context scheduling through a private seq lane.

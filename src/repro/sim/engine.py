@@ -1,46 +1,45 @@
-"""Discrete-event simulation engine with pluggable queue kernels.
+"""Discrete-event simulation engine: one binary-heap pending-event set.
 
 Events are totally ordered by ``(time, priority, seq)``: ties on time are
 broken first by an explicit integer priority, then by insertion order, so
 repeated runs with the same seed replay identically — a property the
 reproduction's regression tests rely on.
 
-Two kernels implement the pending-event set:
-
-* ``"calendar"`` (default) — a calendar-queue/time-wheel scheduler
-  [R. Brown, CACM 1988]: events hash into time buckets of an adaptive
-  width, enqueue is an O(1) bucket insertion and dequeue scans forward
-  from the current bucket.  Entries are plain tuples, so ordering
-  comparisons run at C speed instead of through Python ``__lt__`` calls.
-* ``"heap"`` — the original binary-heap path, kept as a fallback and as
-  the reference implementation the equivalence tests replay against.
-
-Both kernels delete cancelled events lazily (a tombstone flag) and
-compact the queue once tombstones outnumber live events, so a workload
-that arms-and-cancels timers cannot grow the queue without bound.
+The pending-event set is a single ``heapq`` list owned by
+:class:`Simulator`.  Entries are plain ``(time, priority, seq, payload)``
+tuples, so every sift compares at C speed; ``seq`` is unique, so the
+payload never compares.  The payload is a bare callback for
+fire-and-forget events (the vast majority — link deliveries, pipeline
+stages) or an :class:`_Event` when the caller holds a cancellation handle.
+Cancelled events are deleted lazily: they stay on the heap as tombstones
+and are dropped when they surface, or all at once when tombstones
+outnumber live events, so a workload that arms-and-cancels timers cannot
+grow the queue without bound.  Compaction rewrites the list in place,
+because :class:`LaneView` and :meth:`repro.sim.link.Link.send` push into
+the same list object.
 
 Scheduling surface (see docs/DETERMINISM.md for the full contract):
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — cancellable,
   return an :class:`EventHandle`.
 * :meth:`Simulator.post` / :meth:`Simulator.post_at` — fire-and-forget; the
-  hot paths use these because they skip the handle and (on the calendar
-  kernel) the event object entirely.
+  hot paths use these because they skip the handle and the event object.
 * :meth:`Simulator.schedule_batch` — bulk insertion with sequence numbers
   assigned in iteration order, bit-identical to a loop of ``schedule`` calls.
-* ``pop_if_before`` (kernel-internal) — the fused peek+pop the deadline run
-  loop uses; its window checks reuse push's ``int(time * inv_width)`` bucket
-  mapping via an absolute-bucket cursor (``_cur_abs``) because comparing
-  against ``k * width`` float products disagrees with the push mapping at
-  exact bucket boundaries and would strand the true minimum one bucket early.
+
+Apart from :meth:`repro.sim.link.Link.send`, which pushes link deliveries
+straight onto the heap, model code goes through these public methods (and
+:meth:`Simulator.run`) and never binds them as instance attributes:
+instrumentation wraps them at class level, and a per-instance binding
+would bypass it.
 
 Sequence numbers and lanes
 --------------------------
 
-``seq`` defaults to a single process-wide-per-simulator counter, which makes
-tie order depend on global scheduling order — fine for one kernel instance,
-unreconstructible once a simulation is sharded.  :class:`LaneView` gives a
-component a private seq stream ``(lane << LANE_SHIFT) | n``: tie order among
+``seq`` defaults to a single per-simulator counter, which makes tie order
+depend on global scheduling order — fine for one queue, unreconstructible
+once a simulation is sharded.  :class:`LaneView` gives a component a
+private seq stream ``(lane << LANE_SHIFT) | n``: tie order among
 same-``(time, priority)`` events becomes ``(lane, n)``, a property of *which
 component* scheduled the event and *how many* events it had scheduled before
 — both computable inside a single shard.  A sharded run that replays every
@@ -55,22 +54,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import insort
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush, nsmallest
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
 EventCallback = Callable[[], None]
 
-#: Kernel registry keys, in preference order.
-KERNELS = ("calendar", "heap")
-
-DEFAULT_KERNEL = "calendar"
-
-#: Events may not be scheduled at or beyond this time (guards the
-#: calendar bucket arithmetic against inf/NaN times).
+#: Events may not be scheduled at or beyond this time (rejects inf/NaN).
 MAX_EVENT_TIME = 1e300
 
 #: Queues smaller than this are never compacted (not worth the rebuild).
@@ -96,7 +88,7 @@ def process_events_executed() -> int:
 def add_external_events(count: int) -> None:
     """Credit events executed outside this process (sharded workers).
 
-    The multiprocessing shard backend runs its kernels in child
+    The multiprocessing shard backend runs its simulators in child
     processes; their counts are folded back here so the experiment
     runner's events/sec deltas stay meaningful.
     """
@@ -105,38 +97,29 @@ def add_external_events(count: int) -> None:
 
 
 class _Event:
-    """One pending callback.  Slotted: the hot loop allocates millions."""
+    """Payload of a cancellable queue entry.  Slotted: timers are common."""
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled", "in_queue")
+    __slots__ = ("time", "callback", "cancelled", "in_queue")
 
-    def __init__(
-        self, time: float, priority: int, seq: int, callback: EventCallback
-    ) -> None:
+    def __init__(self, time: float, callback: EventCallback) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.in_queue = True
 
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<_Event t={self.time} prio={self.priority} seq={self.seq} {state}>"
+        return f"<_Event t={self.time} {state}>"
 
 
 class EventHandle:
     """Opaque handle allowing a scheduled event to be cancelled."""
 
-    __slots__ = ("_event", "_kernel")
+    __slots__ = ("_event", "_sim")
 
-    def __init__(self, event: _Event, kernel: "_HeapKernel") -> None:
+    def __init__(self, event: _Event, sim: "Simulator") -> None:
         self._event = event
-        self._kernel = kernel
+        self._sim = sim
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already fired."""
@@ -145,7 +128,7 @@ class EventHandle:
             return
         event.cancelled = True
         if event.in_queue:
-            self._kernel.on_cancel(event)
+            self._sim._on_cancel()
 
     @property
     def cancelled(self) -> bool:
@@ -156,465 +139,8 @@ class EventHandle:
         return self._event.time
 
 
-#: Queue entries are plain tuples so bucket sorts and comparisons run at
-#: C speed; ``seq`` is unique, so the trailing payload never compares.
-#: The payload is a bare callback for fire-and-forget events (the vast
-#: majority — link deliveries, pipeline stages) or an :class:`_Event`
-#: when the caller holds a cancellation handle.  ``pop`` returns an entry
-#: whose payload is always a callback.
+#: Queue entries: ``seq`` is unique, so the trailing payload never compares.
 _Entry = Tuple[float, int, int, Any]
-
-
-class _HeapKernel:
-    """Binary-heap pending set — the seed implementation, kept as fallback.
-
-    Events sit directly on the heap and compare through ``_Event.__lt__``.
-    Cancelled events are purged when they surface at the top, or in bulk
-    once tombstones outnumber live events.
-    """
-
-    name = "heap"
-
-    __slots__ = ("_heap", "_tombstones")
-
-    def __init__(self) -> None:
-        self._heap: List[_Event] = []
-        self._tombstones = 0
-
-    def __len__(self) -> int:
-        return len(self._heap) - self._tombstones
-
-    def push(self, event: _Event) -> None:
-        heappush(self._heap, event)
-
-    def push_batch(self, events: List[_Event]) -> None:
-        if self._heap:
-            for event in events:
-                heappush(self._heap, event)
-        else:
-            self._heap = events
-            heapify(self._heap)
-
-    def push_raw(
-        self, time: float, priority: int, seq: int, callback: EventCallback
-    ) -> None:
-        heappush(self._heap, _Event(time, priority, seq, callback))
-
-    def push_raw_batch(self, events: List[Tuple[float, int, int, EventCallback]]) -> None:
-        self.push_batch([_Event(*fields) for fields in events])
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head.cancelled:
-                heappop(heap)
-                head.in_queue = False
-                self._tombstones -= 1
-                continue
-            return head.time
-        return None
-
-    def pop_if_before(self, limit: float) -> Optional[_Entry]:
-        """Pop the next live event iff its time is <= ``limit``."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head.cancelled:
-                heappop(heap)
-                head.in_queue = False
-                self._tombstones -= 1
-                continue
-            if head.time > limit:
-                return None
-            heappop(heap)
-            head.in_queue = False
-            return (head.time, head.priority, head.seq, head.callback)
-        return None
-
-    def pop(self) -> Optional[_Entry]:
-        heap = self._heap
-        while heap:
-            event = heappop(heap)
-            if event.cancelled:
-                event.in_queue = False
-                self._tombstones -= 1
-                continue
-            event.in_queue = False
-            return (event.time, event.priority, event.seq, event.callback)
-        return None
-
-    def on_cancel(self, event: _Event) -> None:
-        self._tombstones += 1
-        if (
-            self._tombstones > len(self._heap) - self._tombstones
-            and len(self._heap) >= _COMPACT_MIN
-        ):
-            self.compact()
-
-    def compact(self) -> None:
-        """Drop tombstones and re-heapify the survivors."""
-        live: List[_Event] = []
-        for event in self._heap:
-            if event.cancelled:
-                event.in_queue = False
-            else:
-                live.append(event)
-        heapify(live)
-        self._heap = live
-        self._tombstones = 0
-
-    @property
-    def tombstones(self) -> int:
-        return self._tombstones
-
-    def clear(self) -> None:
-        for event in self._heap:
-            event.in_queue = False
-        self._heap = []
-        self._tombstones = 0
-
-
-class _CalendarKernel:
-    """Calendar-queue pending set (Brown 1988), with lazy deletion.
-
-    Events hash into ``nbuckets`` (a power of two) buckets of ``width``
-    nanoseconds; each bucket is a sorted list of entry tuples.  Dequeue
-    scans forward from the bucket containing the last-popped time,
-    accepting a bucket's head only when it falls inside the bucket's
-    current-year window; a full fruitless lap falls back to a direct
-    minimum search (the standard sparse-queue escape).  The bucket count
-    tracks the live population and the width is re-estimated from the
-    inter-event gaps near the head on every resize, keeping amortized
-    O(1) enqueue/dequeue across arrival-rate regimes.
-    """
-
-    name = "calendar"
-
-    __slots__ = (
-        "_buckets", "_nbuckets", "_mask", "_width", "_inv_width",
-        "_cur", "_cur_abs", "_live", "_tombstones", "_floor", "_peeked",
-        "_resize_up", "_resize_down", "_fallbacks",
-    )
-
-    #: Forward-scan budget per dequeue before falling back to a direct
-    #: minimum search; repeated fallbacks trigger a re-widening rebuild.
-    SCAN_LIMIT = 128
-
-    #: Direct-search fallbacks tolerated before the width is re-estimated.
-    FALLBACK_LIMIT = 8
-
-    def __init__(self) -> None:
-        self._live = 0
-        self._tombstones = 0
-        self._floor = 0.0
-        self._peeked: Optional[Tuple[_Entry, int]] = None
-        self._fallbacks = 0
-        self._configure(4, 1.0)
-
-    def _configure(self, nbuckets: int, width: float) -> None:
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets: List[List[_Entry]] = [[] for _ in range(nbuckets)]
-        self._resize_up = 2 * nbuckets
-        self._resize_down = nbuckets // 2 - 2 if nbuckets > 8 else 0
-        absolute = int(self._floor * self._inv_width)
-        self._cur = absolute & self._mask
-        self._cur_abs = absolute
-
-    def __len__(self) -> int:
-        return self._live
-
-    @property
-    def tombstones(self) -> int:
-        return self._tombstones
-
-    def push(self, event: _Event) -> None:
-        index = int(event.time * self._inv_width) & self._mask
-        insort(self._buckets[index], (event.time, event.priority, event.seq, event))
-        self._live += 1
-        self._peeked = None
-        if self._live > self._resize_up:
-            self._rebuild()
-
-    def push_raw(
-        self, time: float, priority: int, seq: int, callback: EventCallback
-    ) -> None:
-        index = int(time * self._inv_width) & self._mask
-        insort(self._buckets[index], (time, priority, seq, callback))
-        self._live += 1
-        self._peeked = None
-        if self._live > self._resize_up:
-            self._rebuild()
-
-    def push_batch(self, events: List[_Event]) -> None:
-        self.push_raw_batch(
-            [(e.time, e.priority, e.seq, e) for e in events]
-        )
-
-    def push_raw_batch(self, entries: List[_Entry]) -> None:
-        mask = self._mask
-        inv = self._inv_width
-        buckets = self._buckets
-        touched = set()
-        for entry in entries:
-            index = int(entry[0] * inv) & mask
-            buckets[index].append(entry)
-            touched.add(index)
-        for index in touched:
-            buckets[index].sort()
-        self._live += len(entries)
-        self._peeked = None
-        if self._live > self._resize_up:
-            self._rebuild()
-
-    def _scan(self) -> Optional[Tuple[_Entry, int]]:
-        """Locate (but do not remove) the next live entry.
-
-        The persistent cursor only advances in :meth:`pop` — committing it
-        here could skip past buckets that a later ``schedule`` call (legal
-        for any ``time >= now``) would still need the scan to visit.
-        """
-        if self._live == 0:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        inv = self._inv_width
-        index = self._cur
-        absolute = self._cur_abs
-        limit = self._nbuckets
-        if limit > self.SCAN_LIMIT:
-            limit = self.SCAN_LIMIT
-        for _ in range(limit):
-            bucket = buckets[index]
-            while bucket:
-                payload = bucket[0][3]
-                if type(payload) is _Event and payload.cancelled:
-                    payload.in_queue = False
-                    del bucket[0]
-                    self._tombstones -= 1
-                    continue
-                break
-            # Window membership uses the same int(time * inv_width) mapping
-            # as push: comparing times against k*width boundaries disagrees
-            # with the push mapping at exact bucket boundaries (the
-            # reciprocal multiply can round a boundary time into the bucket
-            # below), which would strand the true minimum unscanned.
-            if bucket and int(bucket[0][0] * inv) <= absolute:
-                self._peeked = (bucket[0], index)
-                return self._peeked
-            index = (index + 1) & mask
-            absolute += 1
-        # Scan budget exhausted with nothing inside its window: the head
-        # of the queue is sparse relative to the bucket width.  Fall back
-        # to a direct minimum search; if that keeps happening, re-estimate
-        # the width from the (now sparse) head gaps and retry once.
-        self._fallbacks += 1
-        if self._fallbacks >= self.FALLBACK_LIMIT:
-            self._fallbacks = 0
-            self._rebuild()
-            return self._scan()
-        best: Optional[_Entry] = None
-        best_index = -1
-        for index, bucket in enumerate(buckets):
-            while bucket:
-                payload = bucket[0][3]
-                if type(payload) is _Event and payload.cancelled:
-                    payload.in_queue = False
-                    del bucket[0]
-                    self._tombstones -= 1
-                    continue
-                break
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-                best_index = index
-        if best is None:
-            return None
-        self._peeked = (best, best_index)
-        return self._peeked
-
-    def peek_time(self) -> Optional[float]:
-        # Fast path mirroring pop(): the head is usually a live entry in
-        # the current bucket's window.
-        bucket = self._buckets[self._cur]
-        if bucket:
-            entry = bucket[0]
-            if int(entry[0] * self._inv_width) <= self._cur_abs:
-                payload = entry[3]
-                if type(payload) is not _Event or not payload.cancelled:
-                    return entry[0]
-        found = self._peeked or self._scan()
-        return found[0][0] if found is not None else None
-
-    def pop(self) -> Optional[_Entry]:
-        found = self._peeked
-        if found is None:
-            # Fast path: with the width tracking the local inter-event gap,
-            # the next event usually sits in the current bucket — no scan,
-            # no cursor arithmetic (the window is unchanged).
-            bucket = self._buckets[self._cur]
-            if bucket:
-                entry = bucket[0]
-                if (
-                    type(entry[3]) is not _Event
-                    and int(entry[0] * self._inv_width) <= self._cur_abs
-                ):
-                    del bucket[0]
-                    self._live -= 1
-                    self._floor = entry[0]
-                    if self._live < self._resize_down:
-                        self._rebuild()
-                    return entry
-            found = self._scan()
-        if found is None:
-            return None
-        entry, index = found
-        self._peeked = None
-        del self._buckets[index][0]
-        self._live -= 1
-        time = entry[0]
-        self._floor = time
-        absolute = int(time * self._inv_width)
-        self._cur = absolute & self._mask
-        self._cur_abs = absolute
-        if self._live < self._resize_down:
-            self._rebuild()
-        payload = entry[3]
-        if type(payload) is _Event:
-            payload.in_queue = False
-            return (time, entry[1], entry[2], payload.callback)
-        return entry
-
-    def pop_if_before(self, limit: float) -> Optional[_Entry]:
-        """Pop the next live event iff its time is <= ``limit``.
-
-        Fuses the deadline-driven run loop's peek + pop into one bucket
-        access for the common case.
-        """
-        found = self._peeked
-        if found is None:
-            bucket = self._buckets[self._cur]
-            if bucket:
-                entry = bucket[0]
-                if (
-                    type(entry[3]) is not _Event
-                    and int(entry[0] * self._inv_width) <= self._cur_abs
-                ):
-                    if entry[0] > limit:
-                        return None
-                    del bucket[0]
-                    self._live -= 1
-                    self._floor = entry[0]
-                    if self._live < self._resize_down:
-                        self._rebuild()
-                    return entry
-            found = self._scan()
-            if found is None:
-                return None
-        entry, index = found
-        time = entry[0]
-        if time > limit:
-            return None
-        self._peeked = None
-        del self._buckets[index][0]
-        self._live -= 1
-        self._floor = time
-        absolute = int(time * self._inv_width)
-        self._cur = absolute & self._mask
-        self._cur_abs = absolute
-        if self._live < self._resize_down:
-            self._rebuild()
-        payload = entry[3]
-        if type(payload) is _Event:
-            payload.in_queue = False
-            return (time, entry[1], entry[2], payload.callback)
-        return entry
-
-    def on_cancel(self, event: _Event) -> None:
-        self._live -= 1
-        self._tombstones += 1
-        self._peeked = None
-        if (
-            self._tombstones > self._live
-            and self._live + self._tombstones >= _COMPACT_MIN
-        ):
-            self.compact()
-
-    def compact(self) -> None:
-        """Drop tombstones bucket-by-bucket, preserving sorted order."""
-        for bucket in self._buckets:
-            if not bucket:
-                continue
-            live = []
-            for entry in bucket:
-                payload = entry[3]
-                if type(payload) is _Event and payload.cancelled:
-                    payload.in_queue = False
-                else:
-                    live.append(entry)
-            if len(live) != len(bucket):
-                bucket[:] = live
-        self._tombstones = 0
-        self._peeked = None
-
-    def _rebuild(self) -> None:
-        """Re-bucket the live population; drops tombstones as a side effect."""
-        entries: List[_Entry] = []
-        for bucket in self._buckets:
-            for entry in bucket:
-                payload = entry[3]
-                if type(payload) is _Event and payload.cancelled:
-                    payload.in_queue = False
-                else:
-                    entries.append(entry)
-        self._tombstones = 0
-        self._live = len(entries)
-        nbuckets = max(4, 1 << self._live.bit_length())
-        self._configure(nbuckets, self._estimate_width(entries))
-        buckets = self._buckets
-        mask = self._mask
-        inv = self._inv_width
-        for entry in entries:
-            buckets[int(entry[0] * inv) & mask].append(entry)
-        for bucket in buckets:
-            if len(bucket) > 1:
-                bucket.sort()
-        self._peeked = None
-
-    def _estimate_width(self, entries: List[_Entry]) -> float:
-        """Bucket width from the mean gap among the events near the head.
-
-        Brown's rule of thumb: a width of ~3x the local inter-event gap
-        keeps bucket occupancy near one for the events that matter (those
-        about to be dequeued), regardless of far-future outliers.
-        """
-        if len(entries) < 2:
-            return self._width
-        head = nsmallest(min(len(entries), 64), entries)
-        gaps = [
-            later[0] - earlier[0]
-            for earlier, later in zip(head, head[1:])
-            if later[0] > earlier[0]
-        ]
-        if not gaps:
-            return self._width
-        return 3.0 * (sum(gaps) / len(gaps))
-
-    def clear(self) -> None:
-        for bucket in self._buckets:
-            for entry in bucket:
-                if type(entry[3]) is _Event:
-                    entry[3].in_queue = False
-        self._live = 0
-        self._tombstones = 0
-        self._floor = 0.0
-        self._peeked = None
-        self._configure(4, 1.0)
-
-
-_KERNEL_TYPES = {"calendar": _CalendarKernel, "heap": _HeapKernel}
 
 
 class Simulator:
@@ -622,31 +148,18 @@ class Simulator:
 
     Typical use::
 
-        sim = Simulator()                  # calendar-queue kernel
-        sim = Simulator(kernel="heap")     # binary-heap fallback
+        sim = Simulator()
         sim.schedule(10.0, lambda: print("at t=10ns"))
         sim.run()
-
-    Both kernels replay the exact same event order (asserted by the
-    equivalence tests); ``kernel="heap"`` trades speed for the simplest
-    possible queue implementation.
     """
 
-    def __init__(self, kernel: str = DEFAULT_KERNEL) -> None:
-        try:
-            self._queue = _KERNEL_TYPES[kernel]()
-        except KeyError:
-            raise SimulationError(
-                f"unknown kernel {kernel!r} (choose from {', '.join(KERNELS)})"
-            ) from None
-        self.kernel = kernel
+    def __init__(self) -> None:
+        self._heap: List[_Entry] = []
+        self._tombstones = 0
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
         self._events_processed = 0
-        # Bound once: post/post_at run millions of times per fabric cell
-        # and the kernel object never changes after construction.
-        self._push_raw = self._queue.push_raw
 
     @property
     def now(self) -> float:
@@ -660,12 +173,12 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Live (non-cancelled) events still queued."""
-        return len(self._queue)
+        return len(self._heap) - self._tombstones
 
     @property
     def tombstones(self) -> int:
         """Cancelled events awaiting lazy deletion."""
-        return self._queue.tombstones
+        return self._tombstones
 
     def _check_time(self, time: float) -> None:
         if not time < MAX_EVENT_TIME:  # also rejects NaN
@@ -674,6 +187,36 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self._now}"
             )
+
+    def _on_cancel(self) -> None:
+        """Count a new tombstone; compact once they outnumber live events."""
+        self._tombstones += 1
+        heap = self._heap
+        if self._tombstones > len(heap) - self._tombstones and len(heap) >= _COMPACT_MIN:
+            live = []
+            for entry in heap:
+                payload = entry[3]
+                if type(payload) is _Event and payload.cancelled:
+                    payload.in_queue = False
+                else:
+                    live.append(entry)
+            # In place: lanes and links hold a reference to this list.
+            heap[:] = live
+            heapify(heap)
+            self._tombstones = 0
+
+    def _head(self) -> Optional[_Entry]:
+        """The earliest live entry, left on the heap; drops tombstones above it."""
+        heap = self._heap
+        while heap:
+            payload = heap[0][3]
+            if type(payload) is _Event and payload.cancelled:
+                heappop(heap)
+                payload.in_queue = False
+                self._tombstones -= 1
+                continue
+            return heap[0]
+        return None
 
     def schedule(
         self, delay: float, callback: EventCallback, *, priority: int = 0
@@ -686,38 +229,38 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
         time = self._now + delay
         self._check_time(time)
-        event = _Event(time, priority, next(self._seq), callback)
-        self._queue.push(event)
-        return EventHandle(event, self._queue)
+        event = _Event(time, callback)
+        heappush(self._heap, (time, priority, next(self._seq), event))
+        return EventHandle(event, self)
 
     def schedule_at(
         self, time: float, callback: EventCallback, *, priority: int = 0
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulation time ``time``."""
         self._check_time(time)
-        event = _Event(time, priority, next(self._seq), callback)
-        self._queue.push(event)
-        return EventHandle(event, self._queue)
+        event = _Event(time, callback)
+        heappush(self._heap, (time, priority, next(self._seq), event))
+        return EventHandle(event, self)
 
     def post(self, delay: float, callback: EventCallback, *, priority: int = 0) -> None:
         """Fire-and-forget :meth:`schedule`: no handle, so no cancellation.
 
         The hot paths (link deliveries, switch pipelines) schedule millions
-        of events they never cancel; skipping the handle (and, on the
-        calendar kernel, the event object itself) is a measurable win.
+        of events they never cancel; skipping the handle and the event
+        object is a measurable win.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
         time = self._now + delay
         if not time < MAX_EVENT_TIME:
             raise SimulationError(f"event time must be finite, got {time}")
-        self._push_raw(time, priority, next(self._seq), callback)
+        heappush(self._heap, (time, priority, next(self._seq), callback))
 
     def post_at(self, time: float, callback: EventCallback, *, priority: int = 0) -> None:
         """Fire-and-forget :meth:`schedule_at`."""
         if not self._now <= time < MAX_EVENT_TIME:
             self._check_time(time)
-        self._push_raw(time, priority, next(self._seq), callback)
+        heappush(self._heap, (time, priority, next(self._seq), callback))
 
     def schedule_batch(
         self,
@@ -726,7 +269,7 @@ class Simulator:
         absolute: bool = False,
         priority: int = 0,
     ) -> int:
-        """Bulk-schedule ``(time, callback)`` pairs in one kernel operation.
+        """Bulk-schedule ``(time, callback)`` pairs in one queue operation.
 
         With ``absolute=True`` the first element of each pair is an
         absolute simulation time, otherwise a delay from now.  Returns the
@@ -736,14 +279,15 @@ class Simulator:
         """
         now = self._now
         seq = self._seq
-        entries: List[Tuple[float, int, int, EventCallback]] = []
+        entries: List[_Entry] = []
         for time, callback in items:
             if not absolute:
                 time = now + time
             self._check_time(time)
             entries.append((time, priority, next(seq), callback))
-        if entries:
-            self._queue.push_raw_batch(entries)
+        heap = self._heap
+        for entry in entries:
+            heappush(heap, entry)
         return len(entries)
 
     def run(
@@ -753,54 +297,63 @@ class Simulator:
     ) -> float:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
-        Returns the simulation time when the run stopped.
+        Events at exactly ``until`` fire.  Unless ``max_events`` stopped
+        the run first, the clock then stands at ``until`` (or stays put if
+        it is already later).  Returns the simulation time when the run
+        stopped.
         """
         global _EVENTS_EXECUTED
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         processed = 0
-        queue = self._queue
-        peek_time = queue.peek_time
-        pop = queue.pop
+        heap = self._heap
         try:
-            if until is None and max_events is None:
-                # Fast path: drain the queue with the minimum of checks.
-                while True:
-                    entry = pop()
-                    if entry is None:
-                        break
-                    self._now = entry[0]
-                    entry[3]()
-                    processed += 1
-            elif max_events is None:
-                # Deadline-only loop: the dominant mode for fabric runs.
-                pop_if_before = queue.pop_if_before
-                while True:
-                    entry = pop_if_before(until)
-                    if entry is None:
-                        self._now = until if peek_time() is not None else max(
-                            self._now, until
-                        )
-                        break
-                    self._now = entry[0]
-                    entry[3]()
-                    processed += 1
+            if max_events is None:
+                # The hot loops: one heappop per event, tombstones dropped
+                # as they surface.  ``heap`` stays valid across callbacks
+                # because compaction rewrites the list in place.
+                if until is None:
+                    while heap:
+                        time, _, _, payload = heappop(heap)
+                        if type(payload) is _Event:
+                            payload.in_queue = False
+                            if payload.cancelled:
+                                self._tombstones -= 1
+                                continue
+                            payload = payload.callback
+                        self._now = time
+                        payload()
+                        processed += 1
+                else:
+                    while heap and heap[0][0] <= until:
+                        time, _, _, payload = heappop(heap)
+                        if type(payload) is _Event:
+                            payload.in_queue = False
+                            if payload.cancelled:
+                                self._tombstones -= 1
+                                continue
+                            payload = payload.callback
+                        self._now = time
+                        payload()
+                        processed += 1
+                    if until > self._now:
+                        self._now = until
             else:
                 while True:
-                    head_time = peek_time()
-                    if head_time is None:
-                        if until is not None:
-                            self._now = max(self._now, until)
+                    head = self._head()
+                    if head is None:
+                        if until is not None and until > self._now:
+                            self._now = until
                         break
-                    if max_events is not None and processed >= max_events:
+                    if processed >= max_events:
                         break
-                    if until is not None and head_time > until:
-                        self._now = until
+                    if until is not None and head[0] > until:
+                        if until > self._now:
+                            self._now = until
                         break
-                    entry = pop()
-                    self._now = entry[0]
-                    entry[3]()
+                    heappop(heap)
+                    self._fire(head)
                     processed += 1
         finally:
             self._running = False
@@ -814,7 +367,8 @@ class Simulator:
         The conservative shard loop uses this to compute the global
         minimum next-event time each synchronization round.
         """
-        return self._queue.peek_time()
+        head = self._head()
+        return head[0] if head is not None else None
 
     def run_window(self, horizon: float) -> float:
         """Run every pending event strictly before ``horizon``.
@@ -844,29 +398,43 @@ class Simulator:
                     f"cannot inject at t={time}: now={now} (must be finite, not past)"
                 )
             batch.append((time, priority, seq, callback))
-        if batch:
-            self._queue.push_raw_batch(batch)
+        heap = self._heap
+        for entry in batch:
+            heappush(heap, entry)
         return len(batch)
 
     def lane(self, lane: int) -> "LaneView":
         """A :class:`LaneView` over this simulator's clock and queue."""
         return LaneView(self, lane)
 
+    def _fire(self, entry: _Entry) -> None:
+        """Advance the clock to a popped live entry and run its callback."""
+        payload = entry[3]
+        if type(payload) is _Event:
+            payload.in_queue = False
+            payload = payload.callback
+        self._now = entry[0]
+        payload()
+
     def step(self) -> bool:
         """Process a single event.  Returns False when the queue is empty."""
         global _EVENTS_EXECUTED
-        entry = self._queue.pop()
-        if entry is None:
+        head = self._head()
+        if head is None:
             return False
-        self._now = entry[0]
-        entry[3]()
+        heappop(self._heap)
+        self._fire(head)
         self._events_processed += 1
         _EVENTS_EXECUTED += 1
         return True
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
-        self._queue.clear()
+        for entry in self._heap:
+            if type(entry[3]) is _Event:
+                entry[3].in_queue = False
+        self._heap.clear()
+        self._tombstones = 0
         self._now = 0.0
         self._events_processed = 0
 
@@ -889,16 +457,15 @@ class LaneView:
     simulator it wraps.
     """
 
-    __slots__ = ("root", "lane", "kernel", "_seq", "_push_raw")
+    __slots__ = ("root", "lane", "_seq", "_heap")
 
     def __init__(self, sim: Simulator, lane: int) -> None:
         if lane <= 0:
             raise SimulationError(f"component lanes must be positive, got {lane}")
         self.root = sim
         self.lane = lane
-        self.kernel = sim.kernel
         self._seq = itertools.count(lane << LANE_SHIFT)
-        self._push_raw = sim._queue.push_raw
+        self._heap = sim._heap
 
     @property
     def now(self) -> float:
@@ -914,7 +481,7 @@ class LaneView:
 
     @property
     def pending_events(self) -> int:
-        return len(self.root._queue)
+        return self.root.pending_events
 
     def schedule(
         self, delay: float, callback: EventCallback, *, priority: int = 0
@@ -928,24 +495,23 @@ class LaneView:
     ) -> EventHandle:
         root = self.root
         root._check_time(time)
-        event = _Event(time, priority, next(self._seq), callback)
-        root._queue.push(event)
-        return EventHandle(event, root._queue)
+        event = _Event(time, callback)
+        heappush(self._heap, (time, priority, next(self._seq), event))
+        return EventHandle(event, root)
 
     def post(self, delay: float, callback: EventCallback, *, priority: int = 0) -> None:
-        root = self.root
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        time = root._now + delay
+        time = self.root._now + delay
         if not time < MAX_EVENT_TIME:
             raise SimulationError(f"event time must be finite, got {time}")
-        self._push_raw(time, priority, next(self._seq), callback)
+        heappush(self._heap, (time, priority, next(self._seq), callback))
 
     def post_at(self, time: float, callback: EventCallback, *, priority: int = 0) -> None:
         root = self.root
         if not root._now <= time < MAX_EVENT_TIME:
             root._check_time(time)
-        self._push_raw(time, priority, next(self._seq), callback)
+        heappush(self._heap, (time, priority, next(self._seq), callback))
 
     def schedule_batch(
         self,
@@ -957,14 +523,15 @@ class LaneView:
         root = self.root
         now = root._now
         seq = self._seq
-        entries: List[Tuple[float, int, int, EventCallback]] = []
+        entries: List[_Entry] = []
         for time, callback in items:
             if not absolute:
                 time = now + time
             root._check_time(time)
             entries.append((time, priority, next(seq), callback))
-        if entries:
-            root._queue.push_raw_batch(entries)
+        heap = self._heap
+        for entry in entries:
+            heappush(heap, entry)
         return len(entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from heapq import heappush
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 from repro.core.clock import gbps_to_bits_per_ns
@@ -131,19 +132,18 @@ class Link(Process):
         # Inlined post_at: arrival >= now by construction (start >= now,
         # positive serialization, non-negative propagation) and finite for
         # finite payload sizes, so post_at's validation cannot fire here.
-        sim._push_raw(arrival, 0, next(sim._seq), partial(receiver, payload))
+        heappush(sim._heap, (arrival, 0, next(sim._seq), partial(receiver, payload)))
         return arrival
 
     def send_batch(self, items: Iterable[Tuple[Any, int]]) -> List[float]:
-        """Send several payloads back-to-back in one kernel operation.
+        """Send several payloads back-to-back in one queue operation.
 
         Equivalent — payload for payload, bit for bit — to calling
         :meth:`send` on each ``(payload, size_bytes)`` in order: occupancy
         is computed sequentially with the same expressions and delivery
         events receive the same consecutive sequence numbers.  The only
         difference is that all delivery events enter the pending set via a
-        single ``schedule_batch`` injection, so an N-chunk drain costs one
-        bucket sort instead of N sorted insertions.
+        single ``schedule_batch`` call instead of N ``send`` calls.
         """
         receiver = self.receiver
         if receiver is None:

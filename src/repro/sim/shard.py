@@ -1,9 +1,9 @@
-"""Conservative-parallel sharding: split one simulation across kernels.
+"""Conservative-parallel sharding: split one simulation across simulators.
 
 A sharded run partitions a cluster's components into N shards, each owning
-a private :class:`~repro.sim.engine.Simulator` (calendar kernel by
-default).  Shards advance in lockstep windows using classic conservative
-lookahead (Chandy-Misra / bounded-lag): every synchronization round the
+a private :class:`~repro.sim.engine.Simulator`.  Shards advance in
+lockstep windows using classic conservative lookahead (Chandy-Misra /
+bounded-lag): every synchronization round the
 coordinator computes the global minimum next-event time ``m`` and grants
 every shard the horizon ``H = m + L``, where ``L`` is the minimum
 propagation delay across all cut links (:attr:`Link.lookahead_ns`).  Each
@@ -21,11 +21,11 @@ sender's lane assigned.  Because component tie order is lane-local (see
 ``repro.sim.engine.LaneView``), the merged execution order is
 bit-identical to the serial run: sharding changes wall-clock behaviour,
 never simulated behaviour.  ``tests/test_shard_equivalence.py`` asserts
-this the same way calendar==heap is asserted.
+this against the serial run as the oracle.
 
 Two backends share the window loop:
 
-* ``"inprocess"`` — every shard kernel lives in this process and windows
+* ``"inprocess"`` — every shard simulator lives in this process and windows
   run round-robin.  No parallel speedup (it exists for determinism tests
   and as a fallback), but bit-identical to the process backend by
   construction.
@@ -446,7 +446,7 @@ def processes_backend_available() -> bool:
 
 
 class ShardedSimulator:
-    """Facade running one simulation across conservative shard kernels.
+    """Facade running one simulation across conservative shard simulators.
 
     Construction takes the :class:`ShardPlan` and a builder returning a
     wired :class:`ShardRuntime` for each shard id; :meth:`run` drives the

@@ -193,7 +193,7 @@ class EdmSwitch(Process):
             return  # a round is already armed at least as early
         if self._round_handle is not None:
             # Supersede the later round instead of leaving it to fire as a
-            # duplicate: the kernel lazily deletes the tombstone.
+            # duplicate: the event queue lazily deletes the tombstone.
             self._round_handle.cancel()
         self._round_armed_at = fire_at
         self._round_handle = self.sim.schedule_at(

@@ -36,7 +36,7 @@ class EcmpHasher:
 
     The salt is a pure function of the cluster seed; ``spine_for`` is a
     pure function of (salt, src, dst).  Same seed → same path table on
-    every run, kernel, and shard; different seeds → statistically
+    every run and shard; different seeds → statistically
     independent spine loading.
     """
 

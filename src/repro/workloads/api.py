@@ -20,8 +20,8 @@ Three layers:
   :func:`register_workload`.
 * :class:`WorkloadFeeder` — pumps a stream into a live
   :class:`~repro.sim.engine.Simulator` chunk by chunk through the
-  calendar kernel's ``schedule_batch``/``post_at``, so the pending-event
-  set holds one chunk of future arrivals instead of all of them.
+  simulator's ``schedule_batch``/``post_at``, so the pending-event heap
+  holds one chunk of future arrivals instead of all of them.
 
 The five legacy free functions (``generate``, ``generate_trace``,
 ``generate_ops``, ``generate_incast``, ``generate_shuffle``) survive as
@@ -326,7 +326,7 @@ class WorkloadFeeder:
     time, bulk-injects them with ``schedule_batch``, and re-arms itself
     via ``post_at`` at the chunk's horizon — so at any instant the
     pending-event set holds at most one chunk of future arrivals.  The
-    kernel's deterministic ``(time, priority, seq)`` ordering makes a fed
+    queue's deterministic ``(time, priority, seq)`` ordering makes a fed
     run replay identically to a schedule-everything-up-front run of the
     same stream.
     """

@@ -17,21 +17,12 @@ from repro.experiments.benchgate import (
 )
 
 
-def _payload(calendar=200_000, heap=150_000, nodes=16):
+def _payload(events_per_s=200_000, nodes=16):
     return {
-        "schema": 1,
+        "schema": 2,
         "config": {"num_nodes": nodes, "message_count": 4000,
                    "loads": [0.3, 0.8], "seed": 1, "jobs": 1},
-        "sweep": {
-            "calendar": {"events": 1, "events_per_s": calendar},
-            "heap": {"events": 1, "events_per_s": heap},
-        },
-        "kernel_microbench": {
-            "rows": [
-                {"depth": 1000, "calendar_ops_per_s": 900_000,
-                 "heap_ops_per_s": 400_000, "speedup": 2.25},
-            ]
-        },
+        "sweep": {"events": 1, "events_per_s": events_per_s},
     }
 
 
@@ -64,29 +55,22 @@ class TestGate:
 
     def test_injected_regression_fails(self):
         # The acceptance scenario: >30% events/sec drop must fail.
-        slow = _payload(calendar=int(200_000 * 0.65))
+        slow = _payload(int(200_000 * 0.65))
         failures = gate_failures(_payload(), slow)
         assert len(failures) == 1
-        assert "sweep.calendar.events_per_s" in failures[0]
+        assert "sweep.events_per_s" in failures[0]
         assert "35.0% below baseline" in failures[0]
 
     def test_drop_within_tolerance_passes(self):
-        assert gate_failures(_payload(), _payload(heap=120_000)) == []
+        assert gate_failures(_payload(), _payload(160_000)) == []
 
     def test_tighter_tolerance_catches_smaller_drops(self):
-        mild = _payload(heap=120_000)  # -20%
+        mild = _payload(160_000)  # -20%
         assert len(gate_failures(_payload(), mild, tolerance_pct=10)) == 1
 
     def test_improvements_never_fail(self):
-        fast = _payload(calendar=400_000, heap=300_000)
+        fast = _payload(400_000)
         assert gate_failures(_payload(), fast) == []
-
-    def test_microbench_reported_but_not_gated(self):
-        slow_micro = _payload()
-        slow_micro["kernel_microbench"]["rows"][0]["calendar_ops_per_s"] = 1
-        assert gate_failures(_payload(), slow_micro) == []
-        report = gate_report(_payload(), slow_micro)
-        assert "microbench.depth1000.calendar_ops_per_s" in report
 
     def test_config_mismatch_refuses(self):
         with pytest.raises(BenchmarkError, match="configs differ"):
@@ -103,25 +87,25 @@ class TestGate:
 
     def test_missing_gated_series_fails(self):
         partial = copy.deepcopy(_payload())
-        del partial["sweep"]["heap"]
+        del partial["sweep"]["events_per_s"]
         failures = gate_failures(_payload(), partial)
         assert len(failures) == 1
         assert "missing or zero" in failures[0]
 
     def test_zero_gated_series_fails(self):
-        failures = gate_failures(_payload(), _payload(calendar=0))
+        failures = gate_failures(_payload(), _payload(0))
         assert len(failures) == 1
-        assert "sweep.calendar" in failures[0]
+        assert "sweep.events_per_s" in failures[0]
 
     def test_new_series_in_current_only_is_skipped(self):
         grown = copy.deepcopy(_payload())
-        grown["sweep"]["wheel"] = {"events": 1, "events_per_s": 1}
+        grown["sweep"]["by_fabric"] = {"wheel": {"events": 1, "events_per_s": 1}}
         assert gate_failures(_payload(), grown) == []
 
 
 def _with_fabrics(payload, edm=100_000, pfc=100_000):
     out = copy.deepcopy(payload)
-    out["sweep"]["calendar"]["by_fabric"] = {
+    out["sweep"]["by_fabric"] = {
         "edm": {"events": 1, "wall_s": 1.0, "events_per_s": edm},
         "pfc": {"events": 1, "wall_s": 1.0, "events_per_s": pfc},
     }
@@ -136,7 +120,7 @@ class TestPerFabricGate:
         cur = _with_fabrics(_payload(), edm=40_000, pfc=200_000)
         failures = gate_failures(base, cur)
         assert len(failures) == 1
-        assert "sweep.calendar.by_fabric.edm.events_per_s" in failures[0]
+        assert "sweep.by_fabric.edm.events_per_s" in failures[0]
 
     def test_identical_fabrics_pass(self):
         base = _with_fabrics(_payload())
@@ -151,7 +135,7 @@ class TestPerFabricGate:
     def test_missing_fabric_series_fails(self):
         base = _with_fabrics(_payload())
         cur = copy.deepcopy(base)
-        del cur["sweep"]["calendar"]["by_fabric"]["edm"]
+        del cur["sweep"]["by_fabric"]["edm"]
         failures = gate_failures(base, cur)
         assert len(failures) == 1
         assert "missing or zero" in failures[0]
@@ -202,7 +186,7 @@ class TestCliGate:
     def test_cli_exits_nonzero_on_regression(self, tmp_path, capsys):
         base = self._write(tmp_path / "base.json", _payload())
         cur = self._write(
-            tmp_path / "cur.json", _payload(calendar=100_000)
+            tmp_path / "cur.json", _payload(100_000)
         )
         with pytest.raises(SystemExit) as excinfo:
             main(["bench-gate", "--baseline", base, "--current", cur])
@@ -212,7 +196,7 @@ class TestCliGate:
 
     def test_cli_tolerance_flag(self, tmp_path):
         base = self._write(tmp_path / "base.json", _payload())
-        cur = self._write(tmp_path / "cur.json", _payload(heap=120_000))
+        cur = self._write(tmp_path / "cur.json", _payload(160_000))
         main(["bench-gate", "--baseline", base, "--current", cur,
               "--tolerance", "50"])  # -20% passes at 50%
         with pytest.raises(SystemExit):

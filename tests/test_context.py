@@ -11,9 +11,9 @@ from repro.workloads.distributions import fixed_size
 
 
 class TestSimContext:
-    def test_create_builds_kernelled_simulator(self):
-        ctx = SimContext.create(seed=3, kernel="heap")
-        assert ctx.sim.kernel == "heap"
+    def test_create_builds_simulator(self):
+        ctx = SimContext.create(seed=3)
+        assert isinstance(ctx.sim, Simulator)
         assert ctx.now == 0.0
 
     def test_process_accepts_context_or_simulator(self):
@@ -109,22 +109,4 @@ class TestRunnerPerf:
         parallel = Runner(jobs=2).run("figure8a", loads=(0.5,), scale=scale)
         assert [p["events"] for p in serial.cell_perf] == [
             p["events"] for p in parallel.cell_perf
-        ]
-
-    def test_kernel_threads_through_scale(self):
-        scale = Figure8aScale(
-            num_nodes=4, message_count=200,
-            fabric_names=("DCTCP",), kernel="heap",
-        )
-        heap = Runner(jobs=1).run("figure8a", loads=(0.5,), scale=scale)
-        calendar = Runner(jobs=1).run(
-            "figure8a",
-            loads=(0.5,),
-            scale=Figure8aScale(
-                num_nodes=4, message_count=200, fabric_names=("DCTCP",),
-            ),
-        )
-        assert heap.reduced == calendar.reduced
-        assert [p["events"] for p in heap.cell_perf] == [
-            p["events"] for p in calendar.cell_perf
         ]

@@ -2,9 +2,8 @@
 
 ``tests/fixtures/edm_golden.json`` was captured before the hot-path
 overhaul (PR 7); these tests assert the optimized model still replays
-*exactly* the same completion records and stats, under both event
-kernels.  Any diff here means the optimization changed observable
-behaviour, not just speed.
+*exactly* the same completion records and stats.  Any diff here means an
+optimization changed observable behaviour, not just speed.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ with open(FIXTURE_PATH, encoding="utf-8") as fh:
 CASE_NAMES = sorted(_GOLDEN["cases"])
 
 
-@pytest.mark.parametrize("kernel", ["calendar", "heap"])
 @pytest.mark.parametrize("name", CASE_NAMES)
-def test_edm_replays_golden_fixture(name: str, kernel: str) -> None:
+def test_edm_replays_golden_fixture(name: str) -> None:
     golden = _GOLDEN["cases"][name]
-    result = run_case(golden["config"], kernel=kernel)
+    result = run_case(golden["config"])
     snap = snapshot(result)
     assert snap["incomplete"] == golden["incomplete"]
     got = {uid: t for uid, t in snap["records"]}

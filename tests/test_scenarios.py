@@ -106,12 +106,11 @@ class TestSpecs:
 
     def test_scaled_overrides(self):
         spec = scenario_by_name("pfc_incast_failover").scaled(
-            num_nodes=4, message_count=50, seed=9, kernel="heap"
+            num_nodes=4, message_count=50, seed=9
         )
         assert spec.num_nodes == 4
         assert spec.workload.message_count == 50
         assert spec.seed == 9
-        assert spec.kernel == "heap"
 
     def test_to_dict_is_json_ready(self):
         payload = scenario_by_name("dctcp_incast_linkdown").to_dict()
@@ -156,13 +155,12 @@ class TestEngine:
             assert row["fault_summary"]["faults_fired"] >= 1
             assert row["mean_latency_ns"] > 0
 
-    def test_deterministic_across_runs_and_kernels(self):
+    def test_deterministic_across_runs(self):
         spec = scenario_by_name("dctcp_incast_linkdown").scaled(**SMALL)
         first = run_scenario(spec)
         second = run_scenario(spec)
-        heap = run_scenario(replace(spec, kernel="heap"))
         for key in ("mean_latency_ns", "p99_latency_ns", "makespan_ns"):
-            assert first[key] == second[key] == heap[key]
+            assert first[key] == second[key]
 
     def test_fault_free_variant_is_faster(self):
         spec = scenario_by_name("cxl_shuffle_degraded").scaled(**SMALL)

@@ -1,9 +1,8 @@
 """Closed-loop serving: spec validation, SLO math, determinism, faults.
 
 The serving subsystem's replay contract is the strongest in the repo:
-one run must be bit-identical serial vs parallel (the runner fans
-profiles over worker processes) and calendar vs heap kernel.  These
-tests pin that, the percentile/SLO accounting, the closed-loop
+one run must be bit-identical run to run and serial vs parallel (the
+runner fans profiles over worker processes).  These tests pin that, the percentile/SLO accounting, the closed-loop
 semantics (ops complete, budgets honored, RMW chains), and fault
 composition against the EDM cluster's links.
 """
@@ -73,9 +72,8 @@ class TestSpecValidation:
 
     def test_scaled_overrides_only_what_is_given(self):
         spec = _spec()
-        scaled = spec.scaled(ops_per_client=99, kernel="heap")
+        scaled = spec.scaled(ops_per_client=99)
         assert scaled.ops_per_client == 99
-        assert scaled.kernel == "heap"
         assert scaled.seed == spec.seed
         assert scaled.tenants == spec.tenants
 
@@ -171,13 +169,6 @@ class TestClosedLoop:
 
 
 class TestDeterminism:
-    def test_calendar_and_heap_kernels_agree(self):
-        calendar = run_serving(_spec(kernel="calendar"))
-        heap = run_serving(_spec(kernel="heap"))
-        assert calendar["makespan_ns"] == heap["makespan_ns"]
-        assert calendar["tenants"] == heap["tenants"]
-        assert calendar["totals"] == heap["totals"]
-
     def test_repeat_runs_are_bit_identical(self):
         assert run_serving(_spec(seed=5)) == run_serving(_spec(seed=5))
 
@@ -191,20 +182,6 @@ class TestDeterminism:
         serial = Runner(jobs=1).run("serving", ops_per_client=15)
         parallel = Runner(jobs=2).run("serving", ops_per_client=15)
         assert serial.reduced == parallel.reduced
-
-    def test_runner_kernel_override_is_bit_identical(self):
-        calendar = Runner(jobs=1).run(
-            "serving", profiles=("steady_ab",), ops_per_client=15
-        )
-        heap = Runner(jobs=1).run(
-            "serving", profiles=("steady_ab",), ops_per_client=15,
-            kernel="heap",
-        )
-        c_row = dict(calendar.reduced["steady_ab"])
-        h_row = dict(heap.reduced["steady_ab"])
-        assert c_row.pop("kernel") == "calendar"
-        assert h_row.pop("kernel") == "heap"
-        assert c_row == h_row
 
 
 class TestFaults:

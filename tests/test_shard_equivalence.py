@@ -5,7 +5,7 @@ The sharding contract mirrors the kernel contract asserted in
 wall-clock optimization, never a semantic one.  These tests drive the EDM
 fabric through hypothesis-generated workloads under 2 and 4 shards and
 assert completion records, incomplete counts, and stats are bit-identical
-to the serial oracle — and probe the shard kernel directly to show
+to the serial oracle — and probe the shard runtime directly to show
 cross-shard mailboxes never reorder same-timestamp events.
 """
 

@@ -2,7 +2,7 @@
 
 Covers the spec parser, deterministic ECMP hashing, the leaf-spine
 substrate on both the queueing fabrics and EDM — including the headline
-determinism properties: calendar == heap and serial == sharded replay,
+determinism properties: run-to-run and serial == sharded replay,
 bit-identically, with and without core-link faults — plus byte
 conservation across multi-hop paths and subtree-atomic shard planning.
 """
@@ -178,35 +178,32 @@ QUEUEING_FABRICS = ("PFC", "DCTCP", "pFabric", "CXL")
 
 class TestQueueingLeafSpine:
     @pytest.mark.parametrize("name", QUEUEING_FABRICS)
-    def test_kernels_bit_identical(self, name):
+    def test_replays_bit_identical(self, name):
         messages = _workload(8)
-        runs = {}
-        for kernel in ("calendar", "heap"):
-            config = ClusterConfig(
-                num_nodes=8, link_gbps=100.0, kernel=kernel,
-                topology="leaf-spine:leaves=4,spines=2,oversub=2",
-            )
-            runs[kernel] = fabric_by_name(name, config).run(
-                messages, deadline_ns=10_000_000
-            )
-        assert _completions(runs["calendar"]) == _completions(runs["heap"])
-        assert runs["calendar"].stats == runs["heap"].stats
+        config = ClusterConfig(
+            num_nodes=8, link_gbps=100.0,
+            topology="leaf-spine:leaves=4,spines=2,oversub=2",
+        )
+        runs = [
+            fabric_by_name(name, config).run(messages, deadline_ns=10_000_000)
+            for _ in range(2)
+        ]
+        assert _completions(runs[0]) == _completions(runs[1])
+        assert runs[0].stats == runs[1].stats
 
     @given(st.integers(2, 4), st.integers(1, 3),
            st.sampled_from([1.0, 2.0, 4.0]))
     @settings(max_examples=10, deadline=None)
-    def test_pfc_replays_across_kernels_any_shape(self, leaves, spines, oversub):
+    def test_pfc_replays_any_shape(self, leaves, spines, oversub):
         topology = (
             f"leaf-spine:leaves={leaves},spines={spines},oversub={oversub}"
         )
         messages = _workload(8, count=48)
-        runs = []
-        for kernel in ("calendar", "heap"):
-            config = ClusterConfig(num_nodes=8, link_gbps=100.0,
-                                   kernel=kernel, topology=topology)
-            runs.append(fabric_by_name("PFC", config).run(
-                messages, deadline_ns=10_000_000
-            ))
+        config = ClusterConfig(num_nodes=8, link_gbps=100.0, topology=topology)
+        runs = [
+            fabric_by_name("PFC", config).run(messages, deadline_ns=10_000_000)
+            for _ in range(2)
+        ]
         assert _completions(runs[0]) == _completions(runs[1])
 
     def test_bytes_conserved_across_the_core(self):
@@ -260,11 +257,10 @@ class TestEdmLeafSpine:
     #: all runs must replay the very same message objects to compare.
     MESSAGES = _workload(8, count=96)
 
-    def _run(self, *, shards=1, kernel="calendar", faults=()):
+    def _run(self, *, shards=1, faults=()):
         messages = self.MESSAGES
         config = ClusterConfig(num_nodes=8, link_gbps=100.0, seed=3,
-                               kernel=kernel, shards=shards,
-                               topology=self.TOPOLOGY)
+                               shards=shards, topology=self.TOPOLOGY)
         fabric = EdmFabric(config)
         if faults:
             span = max(m.arrival_ns for m in messages)
@@ -276,13 +272,12 @@ class TestEdmLeafSpine:
             return fabric.run(messages, shard_backend="inprocess")
         return fabric.run(messages)
 
-    def test_serial_matches_sharded_and_heap(self):
+    def test_serial_matches_sharded(self):
         serial = self._run()
         assert serial.incomplete == 0
         baseline = _completions(serial)
         assert baseline == _completions(self._run(shards=2))
         assert baseline == _completions(self._run(shards=3))
-        assert baseline == _completions(self._run(kernel="heap"))
 
     def test_event_counts_match_serial_vs_sharded(self):
         serial, sharded = self._run(), self._run(shards=2)
@@ -297,9 +292,6 @@ class TestEdmLeafSpine:
         assert baseline != _completions(self._run())  # fault has teeth
         assert baseline == _completions(self._run(shards=2, faults=faults))
         assert baseline == _completions(self._run(shards=3, faults=faults))
-        assert baseline == _completions(
-            self._run(kernel="heap", faults=faults)
-        )
 
     @given(st.integers(2, 4), st.integers(2, 3))
     @settings(max_examples=6, deadline=None)
