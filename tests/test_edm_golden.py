@@ -3,7 +3,8 @@
 ``tests/fixtures/edm_golden.json`` was captured before the hot-path
 overhaul (PR 7); these tests assert the optimized model still replays
 *exactly* the same completion records and stats.  Any diff here means an
-optimization changed observable behaviour, not just speed.
+optimization changed observable behaviour, not just speed.  Each case
+replays serially and sharded, so the fixture also pins the sharded path.
 """
 
 from __future__ import annotations
@@ -21,10 +22,18 @@ with open(FIXTURE_PATH, encoding="utf-8") as fh:
 CASE_NAMES = sorted(_GOLDEN["cases"])
 
 
+#: How each case is replayed: ``heap`` is the serial run on the
+#: simulator's one heap event queue; ``sharded`` splits the cluster over
+#: two conservative-parallel shards, each with its own queue, which the
+#: determinism contract requires to be bit-identical to the serial run.
+EXECUTIONS = {"heap": 1, "sharded": 2}
+
+
+@pytest.mark.parametrize("execution", list(EXECUTIONS))
 @pytest.mark.parametrize("name", CASE_NAMES)
-def test_edm_replays_golden_fixture(name: str) -> None:
+def test_edm_replays_golden_fixture(name: str, execution: str) -> None:
     golden = _GOLDEN["cases"][name]
-    result = run_case(golden["config"])
+    result = run_case(golden["config"], shards=EXECUTIONS[execution])
     snap = snapshot(result)
     assert snap["incomplete"] == golden["incomplete"]
     got = {uid: t for uid, t in snap["records"]}

@@ -16,7 +16,8 @@ tests need.  Two kinds of drivers run the same schedule against both:
 * hypothesis-generated schedules (:func:`replay`) that shrink a failure to
   a minimal event list.
 
-Both assert the same fired ``(time, priority, seq)`` sequence.
+Both assert the same fired ``(time, priority, seq)`` sequence.  The
+engine-semantics tests (:class:`TestKernelBehaviour`) run on both as well.
 """
 
 import itertools
@@ -28,6 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.fabrics.base import ClusterConfig
+from repro.sim.context import SimContext
 from repro.sim.engine import LANE_SHIFT, MAX_EVENT_TIME, Simulator
 
 #: Queues smaller than this are never compacted (the engine's rule).
@@ -229,7 +232,7 @@ def drive(sim, seed, depth, rounds=12):
     seq computed from the documented stream discipline (root counter,
     ``(lane << LANE_SHIFT) | n`` per lane, explicit keys for ``inject``)
     — plus the clock after each run and the live-event count after each
-    operation.  Every random decision comes from one ``Random(seed)``, so
+    cancel and each phase of a round.  Every random decision comes from one ``Random(seed)``, so
     two implementations that fire the same events draw the same mix.
     """
     rng = random.Random(seed)
@@ -241,11 +244,8 @@ def drive(sim, seed, depth, rounds=12):
     handles = []  # (handle, one-element "has fired" flag)
     fired_handles = []
 
-    def check_bounds():
+    def record_pending():
         trace.append(("pending", sim.pending_events))
-        # Right after a cancel, compaction keeps tombstones from
-        # outnumbering live events (small queues excepted).
-        assert sim.tombstones <= max(sim.pending_events, COMPACT_MIN - 1)
 
     def when():
         offset = rng.choice(TIME_GRID) if rng.random() < 0.6 else rng.uniform(0, 100)
@@ -268,8 +268,7 @@ def drive(sim, seed, depth, rounds=12):
         delay = when()
         if op == "inject":
             seq = next(inject_seq)
-            state = [False]
-            sim.inject([(sim.now + delay, priority, seq, make_callback(priority, seq, state))])
+            sim.inject([(sim.now + delay, priority, seq, make_callback(priority, seq, [False]))])
         elif op == "batch":
             count = rng.randint(1, 4)
             absolute = rng.random() < 0.5
@@ -282,26 +281,23 @@ def drive(sim, seed, depth, rounds=12):
                      make_callback(priority, seq, [False]))
                 )
             assert target.schedule_batch(items, absolute=absolute, priority=priority) == count
-        elif op == "schedule":
-            arm(target, counter, delay, priority)
+        elif op in ("schedule", "schedule_at"):
+            arm(target, counter, delay, priority, absolute=op == "schedule_at")
         else:
-            seq = next(counter)
-            state = [False]
-            callback = make_callback(priority, seq, state)
-            if op == "schedule_at":
-                handles.append(
-                    (target.schedule_at(sim.now + delay, callback, priority=priority), state)
-                )
-            elif op == "post":
+            callback = make_callback(priority, next(counter), [False])
+            if op == "post":
                 target.post(delay, callback, priority=priority)
             else:
                 target.post_at(sim.now + delay, callback, priority=priority)
 
-    def arm(target, counter, delay, priority):
-        seq = next(counter)
+    def arm(target, counter, delay, priority, absolute=False):
         state = [False]
-        callback = make_callback(priority, seq, state)
-        handles.append((target.schedule(delay, callback, priority=priority), state))
+        callback = make_callback(priority, next(counter), state)
+        if absolute:
+            handle = target.schedule_at(sim.now + delay, callback, priority=priority)
+        else:
+            handle = target.schedule(delay, callback, priority=priority)
+        handles.append((handle, state))
 
     def cancel_one():
         if not handles:
@@ -313,12 +309,15 @@ def drive(sim, seed, depth, rounds=12):
             # Cancel-after-fire is a no-op: no new tombstone.
             fired_handles.append(handle)
             assert sim.tombstones == before
-        check_bounds()
+        # Right after a cancel, compaction keeps tombstones from
+        # outnumbering live events (small queues excepted).
+        assert sim.tombstones <= max(sim.pending_events, COMPACT_MIN - 1)
+        record_pending()
 
     for _ in range(rounds):
         while sim.pending_events < depth:
             schedule_one()
-        check_bounds()
+        record_pending()
         roll = rng.random()
         if roll < 0.2:
             # Mass cancel: enough armed timers to cross the compaction floor.
@@ -341,7 +340,7 @@ def drive(sim, seed, depth, rounds=12):
             until = sim.now + when()
             sim.schedule_at(until, make_callback(0, next(streams[0][1]), [False]))
             trace.append(("run", sim.run(until=until)))
-        check_bounds()
+        record_pending()
     trace.append(("run", sim.run()))
     trace.append(("processed", sim.events_processed))
     assert sim.pending_events == 0
@@ -489,19 +488,23 @@ class TestKernelEquivalence:
 # --------------------------------------------------------------------------- #
 
 
+@pytest.mark.parametrize(
+    "make_sim", [Simulator, ReferenceSimulator], ids=["heap", "reference"]
+)
 class TestKernelBehaviour:
-    """The seed engine's semantics, asserted on the simulator's queue."""
+    """The seed engine's semantics, asserted on the simulator's heap queue
+    and on the reference model (so the oracle is pinned down too)."""
 
-    def test_priority_then_insertion_ties(self):
-        sim, seen = Simulator(), []
+    def test_priority_then_insertion_ties(self, make_sim):
+        sim, seen = make_sim(), []
         sim.schedule(10, lambda: seen.append("late"), priority=5)
         sim.schedule(10, lambda: seen.append("first"), priority=0)
         sim.schedule(10, lambda: seen.append("second"), priority=0)
         sim.run()
         assert seen == ["first", "second", "late"]
 
-    def test_until_then_resume(self):
-        sim, seen = Simulator(), []
+    def test_until_then_resume(self, make_sim):
+        sim, seen = make_sim(), []
         sim.schedule(10, lambda: seen.append(1))
         sim.schedule(100, lambda: seen.append(2))
         assert sim.run(until=50) == 50
@@ -509,9 +512,9 @@ class TestKernelBehaviour:
         sim.run()
         assert seen == [1, 2]
 
-    def test_far_future_events_survive_dense_phases(self):
+    def test_far_future_events_survive_dense_phases(self, make_sim):
         """A sparse tail after a dense burst must still drain in order."""
-        sim, seen = Simulator(), []
+        sim, seen = make_sim(), []
         for i in range(200):
             sim.schedule(i * 0.01, lambda i=i: None)
         sim.schedule(1e9, lambda: seen.append("far"))
@@ -519,9 +522,9 @@ class TestKernelBehaviour:
         sim.run()
         assert seen == ["mid", "far"]
 
-    def test_cancelled_mass_compaction(self):
+    def test_cancelled_mass_compaction(self, make_sim):
         """Tombstones exceeding half the queue trigger compaction."""
-        sim = Simulator()
+        sim = make_sim()
         handles = [sim.schedule(10 + i, lambda: None) for i in range(256)]
         survivor_count = 16
         for handle in handles[survivor_count:]:
@@ -534,8 +537,8 @@ class TestKernelBehaviour:
         assert sim.run() == 10 + survivor_count - 1
         assert sim.events_processed == survivor_count
 
-    def test_cancel_after_fire_is_noop(self):
-        sim, seen = Simulator(), []
+    def test_cancel_after_fire_is_noop(self, make_sim):
+        sim, seen = make_sim(), []
         handle = sim.schedule(1, lambda: seen.append("x"))
         sim.run()
         handle.cancel()
@@ -543,15 +546,15 @@ class TestKernelBehaviour:
         assert seen == ["x"]
         assert sim.tombstones == 0
 
-    def test_post_and_post_at(self):
-        sim, seen = Simulator(), []
+    def test_post_and_post_at(self, make_sim):
+        sim, seen = make_sim(), []
         sim.post(5, lambda: seen.append("a"))
         sim.post_at(2, lambda: seen.append("b"))
         sim.run()
         assert seen == ["b", "a"]
 
-    def test_non_finite_times_rejected(self):
-        sim = Simulator()
+    def test_non_finite_times_rejected(self, make_sim):
+        sim = make_sim()
         with pytest.raises(SimulationError):
             sim.schedule(float("inf"), lambda: None)
         with pytest.raises(SimulationError):
@@ -559,13 +562,26 @@ class TestKernelBehaviour:
         with pytest.raises(SimulationError):
             sim.post(float("nan"), lambda: None)
 
-    def test_schedule_batch_rejects_past(self):
-        sim = Simulator()
+    def test_schedule_batch_rejects_past(self, make_sim):
+        sim = make_sim()
         sim.schedule(10, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_batch([(5.0, lambda: None)], absolute=True)
 
+
+def test_unknown_kernel_rejected():
+    """The retired ``kernel`` option is refused, not silently ignored."""
+    for kernel in ("calendar", "heap", "wheel-of-fortune"):
+        with pytest.raises(TypeError):
+            Simulator(kernel=kernel)
+        with pytest.raises(TypeError):
+            SimContext.create(kernel=kernel)
+        with pytest.raises(TypeError):
+            ClusterConfig(num_nodes=4, link_gbps=100.0, kernel=kernel)
+
+
+class TestInPlaceCompaction:
     def test_compaction_keeps_lane_pushes_live(self):
         """Compaction rewrites the heap in place: lanes keep scheduling into it."""
         sim, seen = Simulator(), []

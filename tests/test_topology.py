@@ -2,7 +2,7 @@
 
 Covers the spec parser, deterministic ECMP hashing, the leaf-spine
 substrate on both the queueing fabrics and EDM — including the headline
-determinism properties: run-to-run and serial == sharded replay,
+determinism properties: drain-loop == deadline-loop and serial == sharded replay,
 bit-identically, with and without core-link faults — plus byte
 conservation across multi-hop paths and subtree-atomic shard planning.
 """
@@ -176,34 +176,40 @@ class TestConfigGates:
 QUEUEING_FABRICS = ("PFC", "DCTCP", "pFabric", "CXL")
 
 
+def _under_both_kernels(name, config, messages):
+    """Run ``messages`` through each of the engine's two dispatch kernels.
+
+    ``Simulator.run`` inlines one loop that drains the queue and one that
+    stops at a deadline.  A deadline past the last event must change
+    nothing, so the two runs are a differential check of the loops.
+    """
+    return [
+        fabric_by_name(name, config).run(messages, deadline_ns=deadline)
+        for deadline in (None, 10_000_000)
+    ]
+
+
 class TestQueueingLeafSpine:
     @pytest.mark.parametrize("name", QUEUEING_FABRICS)
-    def test_replays_bit_identical(self, name):
-        messages = _workload(8)
+    def test_kernels_bit_identical(self, name):
         config = ClusterConfig(
             num_nodes=8, link_gbps=100.0,
             topology="leaf-spine:leaves=4,spines=2,oversub=2",
         )
-        runs = [
-            fabric_by_name(name, config).run(messages, deadline_ns=10_000_000)
-            for _ in range(2)
-        ]
+        runs = _under_both_kernels(name, config, _workload(8))
+        assert runs[0].incomplete == 0
         assert _completions(runs[0]) == _completions(runs[1])
         assert runs[0].stats == runs[1].stats
 
     @given(st.integers(2, 4), st.integers(1, 3),
            st.sampled_from([1.0, 2.0, 4.0]))
     @settings(max_examples=10, deadline=None)
-    def test_pfc_replays_any_shape(self, leaves, spines, oversub):
+    def test_pfc_replays_across_kernels_any_shape(self, leaves, spines, oversub):
         topology = (
             f"leaf-spine:leaves={leaves},spines={spines},oversub={oversub}"
         )
-        messages = _workload(8, count=48)
         config = ClusterConfig(num_nodes=8, link_gbps=100.0, topology=topology)
-        runs = [
-            fabric_by_name("PFC", config).run(messages, deadline_ns=10_000_000)
-            for _ in range(2)
-        ]
+        runs = _under_both_kernels("PFC", config, _workload(8, count=48))
         assert _completions(runs[0]) == _completions(runs[1])
 
     def test_bytes_conserved_across_the_core(self):
