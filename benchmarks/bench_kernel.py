@@ -30,4 +30,3 @@ def test_kernel_bench(benchmark):
     write_kernel_bench(payload)
     assert payload["sweep"]["events_per_s"] > 0
     assert len(payload["sweep"]["by_fabric"]) == 7
-    assert payload["sharded"]["results_identical"]

@@ -1,21 +1,19 @@
-"""An 8192-node scale point, with a conservative-parallel EDM demo.
+"""An 8192-node scale point, plus EDM at its wire-format ceiling.
 
 Two halves, both riding :func:`scale_1024.run_point` as the driver:
 
 1. The queueing-substrate fabrics (IRD, DCTCP) at 8192 nodes — node
    count is unbounded for them, so this is the raw "how far does one
    event queue take us" demo.
-2. EDM serial vs ``--shards N``: EDM's wire format carries 9-bit node
-   ids (§3.1.4), so its cluster tops out at 512 nodes; its scale axis is
-   event density, and sharding splits that event load across forked
-   workers.  Both runs print the identical completion stats — sharding
-   is bit-identical by contract (docs/DETERMINISM.md) — so the only
-   difference to observe is the events/sec.
+2. One serial EDM point at 512 nodes: EDM's wire format carries 9-bit
+   node ids (§3.1.4), so its cluster tops out there, and its scale axis
+   is event density instead.  Sweeps of many such points parallelize
+   across cells with ``--jobs`` (docs/DETERMINISM.md).
 
 Run::
 
     PYTHONPATH=src python examples/scale_8192.py [--nodes 8192]
-    [--messages 20000] [--shards 4]
+    [--messages 20000]
 """
 
 import os
@@ -34,7 +32,6 @@ EDM_MAX_NODES = 512
 def main() -> None:
     parser = build_arg_parser(nodes=8192, fabrics="IRD,DCTCP")
     args = parser.parse_args()
-    shards = args.shards if args.shards > 1 else 4
 
     print(f"generating {args.messages} messages across {args.nodes} nodes ...")
     messages = microbenchmark(
@@ -45,15 +42,9 @@ def main() -> None:
         seed=args.seed,
     )
     for name in args.fabrics.split(","):
-        run_point(
-            name, messages,
-            nodes=args.nodes, seed=args.seed,
-        )
+        run_point(name, messages, nodes=args.nodes, seed=args.seed)
 
-    print(
-        f"\nEDM at its wire-format ceiling ({EDM_MAX_NODES} nodes), "
-        f"serial vs {shards} shards ..."
-    )
+    print(f"\nEDM at its wire-format ceiling ({EDM_MAX_NODES} nodes) ...")
     edm_messages = microbenchmark(
         num_nodes=EDM_MAX_NODES,
         link_gbps=100.0,
@@ -61,11 +52,7 @@ def main() -> None:
         message_count=args.messages,
         seed=args.seed,
     )
-    for n in (1, shards):
-        run_point(
-            "EDM", edm_messages,
-            nodes=EDM_MAX_NODES, seed=args.seed, shards=n,
-        )
+    run_point("EDM", edm_messages, nodes=EDM_MAX_NODES, seed=args.seed)
 
 
 if __name__ == "__main__":

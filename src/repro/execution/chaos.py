@@ -16,14 +16,12 @@ Grammar (documented in docs/RESILIENCE.md)::
   ``:count=2`` to also kill the first retry, and so on).
 * ``hang:cell=3`` — the worker sleeps past any cell timeout instead of
   running the cell (same ``count`` semantics).
-* ``kill_worker:shard=1`` / ``hang:shard=1`` — the forked shard worker
-  for shard 1 dies (or hangs) at its next window round-trip.  Shard
-  faults fire only in the ``processes`` backend; the inprocess fallback
-  path never consults them, which is exactly what lets ``auto`` degrade
-  to a fault-free run.
 * ``partial_artifact`` — the next atomic artifact write aborts midway
   through its temp file (per-process, ``count`` times), proving an
   interrupted run can never leave truncated JSON at the final path.
+
+Any other key is rejected: a misspelt target would otherwise never match
+its hook, and the fault would silently never fire.
 
 Every hook is deterministic: a fault either always fires at its hook for
 a given (target, attempt) or never does, so chaos runs are exactly
@@ -74,7 +72,13 @@ class ChaosFault:
         )
 
 
-_KNOWN_KINDS = ("kill_worker", "hang", "partial_artifact")
+#: Keys each fault kind accepts (``count`` is accepted by every kind).
+_KIND_KEYS = {
+    "kill_worker": ("cell", "hold_s"),
+    "hang": ("cell", "hold_s"),
+    "partial_artifact": (),
+}
+_KNOWN_KINDS = tuple(_KIND_KEYS)
 
 
 def parse_chaos(text: str) -> Tuple[ChaosFault, ...]:
@@ -93,6 +97,12 @@ def parse_chaos(text: str) -> Tuple[ChaosFault, ...]:
             key, sep, raw = pair.partition("=")
             if not sep or not key or not raw:
                 raise ConfigError(f"chaos param {pair!r} is not key=value")
+            allowed = ("count", *_KIND_KEYS[kind])
+            if key not in allowed:
+                raise ConfigError(
+                    f"unknown chaos key {key!r} for {kind} in {chunk!r} "
+                    f"(known: {', '.join(allowed)})"
+                )
             try:
                 value: Any = int(raw)
             except ValueError:
@@ -136,21 +146,6 @@ def apply_cell_chaos(index: int, attempt: int) -> None:
         os._exit(CHAOS_EXIT_CODE)
     fault = find_fault("hang", cell=index)
     if fault is not None and attempt <= fault.count:
-        time.sleep(float(fault.param("hold_s", DEFAULT_HOLD_S)))
-
-
-def apply_shard_chaos(shard_id: int) -> None:
-    """Shard-worker hook, called at each window round-trip.
-
-    Only ever reached inside forked ``processes``-backend workers; the
-    inprocess backend (and therefore the automatic fallback path) never
-    consults shard faults, so a degraded run completes fault-free.
-    """
-    fault = find_fault("kill_worker", shard=shard_id)
-    if fault is not None:
-        os._exit(CHAOS_EXIT_CODE)
-    fault = find_fault("hang", shard=shard_id)
-    if fault is not None:
         time.sleep(float(fault.param("hold_s", DEFAULT_HOLD_S)))
 
 

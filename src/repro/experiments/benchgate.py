@@ -17,6 +17,10 @@ Gated series, when present in the baseline:
   fabric model: the aggregate can hide a one-fabric regression behind
   speedups elsewhere.
 
+Each fabric's ``sweep.by_fabric.<fabric>.events`` count is also gated,
+exactly: the count is deterministic, so any difference from the baseline
+means the model's event graph changed, whatever the wall clock says.
+
 A baseline generated from a dirty working tree draws a loud warning (see
 :func:`baseline_warnings`): its numbers describe code that was never
 committed, so the gate may be ratcheting against unreviewable state.
@@ -73,6 +77,36 @@ def _series(payload: Dict[str, Any]) -> Dict[str, float]:
     return out
 
 
+def _fabric_events(payload: Dict[str, Any]) -> Dict[str, int]:
+    """Per-fabric deterministic event counts of a bench payload."""
+    by_fabric = (payload.get("sweep") or {}).get("by_fabric") or {}
+    return {
+        fabric: agg["events"] for fabric, agg in by_fabric.items()
+        if "events" in agg
+    }
+
+
+def _event_count_failures(
+    baseline: Dict[str, Any], current: Dict[str, Any]
+) -> List[str]:
+    """Fabrics whose exact event count differs from the baseline's.
+
+    A fabric missing from the current payload already fails its
+    throughput series.  Sweeps with retried or resumed cells leave those
+    cells out of ``by_fabric``, so their counts are partial and skipped.
+    """
+    sweep = current.get("sweep") or {}
+    if sweep.get("retried_cells") or sweep.get("resumed_cells"):
+        return []
+    cur = _fabric_events(current)
+    return [
+        f"sweep.by_fabric.{fabric}.events: {cur[fabric]:,} != baseline "
+        f"{base:,} (event counts are deterministic; the event graph changed)"
+        for fabric, base in sorted(_fabric_events(baseline).items())
+        if fabric in cur and cur[fabric] != base
+    ]
+
+
 def _check_configs_match(
     baseline: Dict[str, Any], current: Dict[str, Any]
 ) -> None:
@@ -121,7 +155,8 @@ def gate_failures(
     current: Dict[str, Any],
     tolerance_pct: Optional[float] = None,
 ) -> List[str]:
-    """Regression messages for every series that dropped past tolerance.
+    """Regression messages for every series that dropped past tolerance,
+    and for every fabric whose exact event count changed.
 
     Empty list = gate passes.  Series only the *current* payload has are
     skipped (schema growth must not fail old baselines), but a gated
@@ -153,6 +188,7 @@ def gate_failures(
                 f"{name}: {cur:,.0f} is {drop:.1f}% below baseline "
                 f"{base:,.0f} (tolerance {tolerance:g}%)"
             )
+    failures.extend(_event_count_failures(baseline, current))
     return failures
 
 
@@ -191,4 +227,9 @@ def gate_report(
             f"  {name:<44} {base:>12,.0f} -> {cur:>12,.0f}  "
             f"({delta:+.1f}%)  {verdict}"
         )
+    changed = _event_count_failures(baseline, current)
+    for failure in changed:
+        lines.append(f"  FAIL {failure}")
+    if _fabric_events(baseline) and not changed:
+        lines.append("  per-fabric event counts: exact match")
     return "\n".join(lines)

@@ -199,11 +199,6 @@ class Figure8aScale:
     seed: int = 1
     deadline_ns: float = 2_000_000_000.0
     fabric_names: Optional[Sequence[str]] = None  # None = all seven
-    #: Conservative-parallel shards per simulation.  Fabrics that support
-    #: sharding (EDM) split their event loop; the rest run serial — both
-    #: produce bit-identical artifacts either way, so this is purely a
-    #: wall-clock knob (docs/DETERMINISM.md).
-    shards: int = 1
     #: Substrate topology spec string (docs/TOPOLOGY.md): ``"single"`` or
     #: ``"leaf-spine:leaves=L,spines=S[,oversub=R]"``.  Only fabrics
     #: tagged ``multitier`` accept a multi-tier value.
@@ -232,7 +227,6 @@ def _scale_params(scale) -> Dict[str, object]:
         "link_gbps": scale.link_gbps,
         "message_count": scale.message_count,
         "deadline_ns": scale.deadline_ns,
-        "shards": getattr(scale, "shards", 1),
         "topology": getattr(scale, "topology", "single"),
     }
 
@@ -242,7 +236,6 @@ def _cluster_config(cell: Cell) -> ClusterConfig:
         num_nodes=cell.param("num_nodes"),
         link_gbps=cell.param("link_gbps"),
         seed=cell.seed,
-        shards=cell.param("shards", 1),
         topology=cell.param("topology", "single"),
     )
 
@@ -431,8 +424,6 @@ class Figure8bScale:
     seed: int = 1
     deadline_ns: float = 5_000_000_000.0
     fabric_names: Optional[Sequence[str]] = None
-    #: Conservative-parallel shards per simulation (see Figure8aScale).
-    shards: int = 1
     #: Substrate topology spec string (see Figure8aScale).
     topology: str = "single"
 

@@ -195,11 +195,6 @@ class ScenarioSpec:
     link_gbps: float = 100.0
     seed: int = 0
     deadline_ns: Optional[float] = None
-    #: Conservative-parallel shards for the fabric simulation (1 = serial).
-    #: Only fabrics advertising ``supports_sharding`` accept values above
-    #: 1; the engine rejects the rest up front so a --shards override never
-    #: silently runs serial.
-    shards: int = 1
     #: Switching topology in ``parse_topology`` string form (``"single"``
     #: or ``"leaf-spine:leaves=L,spines=S[,oversub=R]"``); multi-tier
     #: shapes need a fabric tagged ``multitier`` (docs/TOPOLOGY.md).
@@ -243,8 +238,6 @@ class ScenarioSpec:
             raise ScenarioError(f"seed must be non-negative: {self.seed}")
         if self.deadline_ns is not None and self.deadline_ns <= 0:
             raise ScenarioError(f"deadline must be positive: {self.deadline_ns}")
-        if self.shards < 1:
-            raise ScenarioError(f"shards must be >= 1: {self.shards}")
         self._check_degraded_overlap()
 
     def _check_degraded_overlap(self) -> None:
@@ -291,7 +284,6 @@ class ScenarioSpec:
         num_nodes: Optional[int] = None,
         message_count: Optional[int] = None,
         seed: Optional[int] = None,
-        shards: Optional[int] = None,
         topology: Optional[str] = None,
     ) -> "ScenarioSpec":
         """A copy with overridden scale knobs (None keeps the spec value).
@@ -308,7 +300,6 @@ class ScenarioSpec:
             workload=workload,
             num_nodes=num_nodes if num_nodes is not None else self.num_nodes,
             seed=seed if seed is not None else self.seed,
-            shards=shards if shards is not None else self.shards,
             topology=topology if topology is not None else self.topology,
         )
 
@@ -323,7 +314,6 @@ class ScenarioSpec:
             "link_gbps": self.link_gbps,
             "seed": self.seed,
             "deadline_ns": self.deadline_ns,
-            "shards": self.shards,
             "topology": self.topology,
         }
 

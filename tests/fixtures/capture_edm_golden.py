@@ -7,8 +7,8 @@ Run from the repo root to (re)generate ``edm_golden.json``::
 The fixture pins the *bit-exact* behaviour of the EDM model — every
 completion time and every stats counter, seed for seed — so performance
 work on the hot path can prove it changed nothing observable.  The
-matching test (``tests/test_edm_golden.py``) replays each config, serially
-and over two conservative-parallel shards, and compares against this file.
+matching test (``tests/test_edm_golden.py``) replays each config and
+compares against this file.
 
 Regenerating the fixture is only legitimate when the model's *semantics*
 intentionally change; a perf PR must leave this file byte-stable.
@@ -75,18 +75,15 @@ def messages_for(case: dict):
     return workload_from_spec(spec).materialize()
 
 
-def run_case(case: dict, shards: int = 1):
+def run_case(case: dict):
     config = ClusterConfig(
-        num_nodes=case["num_nodes"], link_gbps=100.0, seed=case["seed"],
-        shards=shards,
+        num_nodes=case["num_nodes"], link_gbps=100.0, seed=case["seed"]
     )
     fabric = EdmFabric(
         config,
         policy=Policy(case["policy"]),
         zero_dram_latency=not case["dram"],
     )
-    if shards > 1:
-        return fabric.run(messages_for(case), shard_backend="inprocess")
     return fabric.run(messages_for(case))
 
 

@@ -140,6 +140,28 @@ class TestPerFabricGate:
         assert len(failures) == 1
         assert "missing or zero" in failures[0]
 
+    def test_changed_event_count_fails(self):
+        # Event counts are deterministic: one extra event fails the gate
+        # even when every throughput series is healthy.
+        base = _with_fabrics(_payload())
+        cur = copy.deepcopy(base)
+        cur["sweep"]["by_fabric"]["pfc"]["events"] = 2
+        failures = gate_failures(base, cur)
+        assert failures == [
+            "sweep.by_fabric.pfc.events: 2 != baseline 1 (event counts are "
+            "deterministic; the event graph changed)"
+        ]
+        assert "FAIL sweep.by_fabric.pfc.events" in gate_report(base, cur)
+        assert "exact match" in gate_report(base, copy.deepcopy(base))
+
+    def test_event_counts_skipped_when_cells_were_retried(self):
+        # by_fabric leaves retried cells out, so its counts are partial.
+        base = _with_fabrics(_payload())
+        cur = copy.deepcopy(base)
+        cur["sweep"]["by_fabric"]["pfc"]["events"] = 0
+        cur["sweep"]["retried_cells"] = 1
+        assert gate_failures(base, cur) == []
+
     def test_fabric_series_respect_tolerance_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_TOLERANCE_PCT", "60")
         base = _with_fabrics(_payload())

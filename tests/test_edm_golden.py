@@ -3,8 +3,7 @@
 ``tests/fixtures/edm_golden.json`` was captured before the hot-path
 overhaul (PR 7); these tests assert the optimized model still replays
 *exactly* the same completion records and stats.  Any diff here means an
-optimization changed observable behaviour, not just speed.  Each case
-replays serially and sharded, so the fixture also pins the sharded path.
+optimization changed observable behaviour, not just speed.
 """
 
 from __future__ import annotations
@@ -23,17 +22,16 @@ CASE_NAMES = sorted(_GOLDEN["cases"])
 
 
 #: How each case is replayed: ``heap`` is the serial run on the
-#: simulator's one heap event queue; ``sharded`` splits the cluster over
-#: two conservative-parallel shards, each with its own queue, which the
-#: determinism contract requires to be bit-identical to the serial run.
-EXECUTIONS = {"heap": 1, "sharded": 2}
+#: simulator's heap event queue.  It stays a parameter so each test id
+#: names the execution that replayed the case.
+EXECUTIONS = ("heap",)
 
 
-@pytest.mark.parametrize("execution", list(EXECUTIONS))
+@pytest.mark.parametrize("execution", EXECUTIONS)
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_edm_replays_golden_fixture(name: str, execution: str) -> None:
     golden = _GOLDEN["cases"][name]
-    result = run_case(golden["config"], shards=EXECUTIONS[execution])
+    result = run_case(golden["config"])
     snap = snapshot(result)
     assert snap["incomplete"] == golden["incomplete"]
     got = {uid: t for uid, t in snap["records"]}

@@ -132,3 +132,20 @@ class TestEdmKnobs:
         fast = EdmFabric(CONFIG, early_release=True).run_with_baselines(msgs)
         slow = EdmFabric(CONFIG, early_release=False).run_with_baselines(msgs)
         assert slow.mean_normalized_latency() >= fast.mean_normalized_latency()
+
+
+def test_shards_option_rejected(capsys):
+    """The retired ``shards`` option is refused, not silently ignored."""
+    from repro.cli import main
+    from repro.scenarios.catalog import scenario_by_name
+
+    with pytest.raises(TypeError):
+        ClusterConfig(num_nodes=4, link_gbps=100.0, shards=2)
+    with pytest.raises(TypeError):
+        scenario_by_name("edm_incast_baseline").scaled(shards=2)
+    with pytest.raises(TypeError):
+        EdmFabric(CONFIG).run(small_workload(count=10), shard_backend="inprocess")
+    with pytest.raises(SystemExit) as exc:
+        main(["figure8a", "--shards", "2"])
+    assert exc.value.code == 2  # argparse usage error
+    assert "--shards" in capsys.readouterr().err

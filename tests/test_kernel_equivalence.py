@@ -8,9 +8,9 @@ outnumber live events — wrapped in the smallest simulator surface the
 tests need.  Two kinds of drivers run the same schedule against both:
 
 * seeded random mixes (:func:`drive`) over every scheduling entry point —
-  ``schedule``, ``schedule_at``, ``post``, ``post_at``, ``schedule_batch``,
-  lane posts and ``inject`` — with cancel-before-fire, cancel-after-fire,
-  mass cancels that trigger compaction, nested scheduling from callbacks,
+  ``schedule``, ``schedule_at``, ``post``, ``post_at``, ``schedule_batch``
+  and lane posts — with cancel-before-fire, cancel-after-fire, mass
+  cancels that trigger compaction, nested scheduling from callbacks,
   ``run(max_events=...)`` and ``run(until=t)`` with an event exactly at
   ``t``, parametrized over seeds and queue depths;
 * hypothesis-generated schedules (:func:`replay`) that shrink a failure to
@@ -174,13 +174,6 @@ class ReferenceSimulator(_ReferenceScheduler):
     def lane(self, lane):
         return _ReferenceScheduler(self, lane << LANE_SHIFT)
 
-    def inject(self, entries):
-        count = 0
-        for time, priority, seq, callback in entries:
-            self._push(time, priority, seq, callback)
-            count += 1
-        return count
-
     @property
     def pending_events(self):
         return len(self.queue)
@@ -221,26 +214,22 @@ TIME_GRID = [0.0, 0.25, 0.5, 1.0, 2.0, 3.75, 10.0, 64.0]
 #: Lanes the mix schedules through besides the root (lane 0).
 MIX_LANES = (1, 2, 7)
 
-#: The lane whose seq stream the mix's ``inject`` calls draw from.
-INJECT_LANE = 99
-
 
 def drive(sim, seed, depth, rounds=12):
     """Apply one seeded random mix to ``sim``; returns its observable trace.
 
     The trace holds every fired event as ``(time, priority, seq)`` — the
     seq computed from the documented stream discipline (root counter,
-    ``(lane << LANE_SHIFT) | n`` per lane, explicit keys for ``inject``)
-    — plus the clock after each run and the live-event count after each
-    cancel and each phase of a round.  Every random decision comes from one ``Random(seed)``, so
-    two implementations that fire the same events draw the same mix.
+    ``(lane << LANE_SHIFT) | n`` per lane) — plus the clock after each run
+    and the live-event count after each cancel and each phase of a round.
+    Every random decision comes from one ``Random(seed)``, so two
+    implementations that fire the same events draw the same mix.
     """
     rng = random.Random(seed)
     trace = []
     streams = [(sim, itertools.count())] + [
         (sim.lane(lane), itertools.count(lane << LANE_SHIFT)) for lane in MIX_LANES
     ]
-    inject_seq = itertools.count(INJECT_LANE << LANE_SHIFT)
     handles = []  # (handle, one-element "has fired" flag)
     fired_handles = []
 
@@ -264,12 +253,9 @@ def drive(sim, seed, depth, rounds=12):
     def schedule_one():
         target, counter = rng.choice(streams)
         priority = rng.randint(-1, 2)
-        op = rng.choice(("schedule", "schedule_at", "post", "post_at", "batch", "inject"))
+        op = rng.choice(("schedule", "schedule_at", "post", "post_at", "batch"))
         delay = when()
-        if op == "inject":
-            seq = next(inject_seq)
-            sim.inject([(sim.now + delay, priority, seq, make_callback(priority, seq, [False]))])
-        elif op == "batch":
+        if op == "batch":
             count = rng.randint(1, 4)
             absolute = rng.random() < 0.5
             items = []
