@@ -114,10 +114,6 @@ FABRIC_REGISTRY = {
     )
 }
 
-#: name -> constructor, in Figure 8's legend order (kept for callers that
-#: predate the tagged registry).
-FABRIC_FACTORIES = {name: info.factory for name, info in FABRIC_REGISTRY.items()}
-
 
 def all_fabrics(config: ClusterConfig):
     """The seven protocols of Figure 8, in the legend's order."""
@@ -150,7 +146,6 @@ def fabrics_with_tag(tag: str) -> List[str]:
 
 
 __all__ = [
-    "FABRIC_FACTORIES",
     "FABRIC_REGISTRY",
     "ClusterConfig",
     "CompletionRecord",

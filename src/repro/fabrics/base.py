@@ -1,12 +1,15 @@
 """Shared harness for cluster-scale fabric models (§4.3's simulator).
 
 Every fabric (EDM and the six baselines) consumes the same offered
-workload — a list of :class:`OfferedMessage` — and produces a
-:class:`FabricResult` with per-message completion latencies.  Figure 8a
-normalizes each message's latency by the fabric's *unloaded* latency for
-that message kind; Figure 8b normalizes completion time by the *ideal*
-MCT.  Both normalizations are computed here so protocols are compared
-apples-to-apples.
+workload — a list of :class:`OfferedMessage` or a streaming
+:class:`~repro.workloads.api.Workload` — and produces a
+:class:`FabricResult` with per-message completion latencies.  One run
+harness, :meth:`Fabric.run`, owns injection, drain and result
+bookkeeping for all seven; a subclass only wires its model in
+:meth:`Fabric._build`.  Figure 8a normalizes each message's latency by
+the fabric's *unloaded* latency for that message kind; Figure 8b
+normalizes completion time by the *ideal* MCT.  Both normalizations are
+computed here so protocols are compared apples-to-apples.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -187,9 +191,21 @@ class ClusterConfig:
             raise FabricError(f"cluster needs >= 2 nodes: {self.num_nodes}")
         if self.link_gbps <= 0:
             raise FabricError(f"link rate must be positive: {self.link_gbps}")
+        if self.propagation_ns < 0:
+            raise FabricError(f"propagation must be >= 0: {self.propagation_ns}")
+        if self.chunk_bytes <= 0:
+            raise FabricError(f"chunk size must be positive: {self.chunk_bytes}")
+        if self.max_active_per_pair <= 0:
+            raise FabricError(
+                f"max active per pair must be positive: {self.max_active_per_pair}"
+            )
         if self.seed < 0:
             raise FabricError(f"seed must be non-negative: {self.seed}")
         self.topology.validate_cluster(self.num_nodes)
+
+
+#: One run's per-message injector, returned by :meth:`Fabric._build`.
+Launch = Callable[[OfferedMessage], None]
 
 
 class Fabric(abc.ABC):
@@ -228,15 +244,79 @@ class Fabric(abc.ABC):
         )
 
     @abc.abstractmethod
+    def _build(self, ctx: SimContext, result: FabricResult) -> Launch:
+        """Wire this model for one run on ``ctx``; return its injector.
+
+        The model appends a :class:`CompletionRecord` to ``result.records``
+        as each message completes, and calls ``topology_hook`` (where it
+        has one) before any workload event runs.  :meth:`run` schedules
+        the returned ``launch(message)`` at each message's arrival.
+        """
+
+    def _drain_counters(self) -> Dict[str, float]:
+        """Model counters for the run just drained, emitted between
+        ``messages_offered`` and ``sim_events`` in the stats dict."""
+        return {}
+
+    def _sorted(self, messages: Iterable[OfferedMessage]) -> List[OfferedMessage]:
+        """The workload as an arrival-ordered list, every node id checked.
+
+        Accepts a list or a :class:`~repro.workloads.api.Workload`; a
+        workload is consumed once, like its ``.materialize()``.
+        """
+        num_nodes = self.config.num_nodes
+
+        def arrival(message: OfferedMessage) -> float:
+            for node in (message.src, message.dst):
+                if not 0 <= node < num_nodes:
+                    raise FabricError(
+                        f"{self.name}: message uid={message.uid} names node "
+                        f"{node}, outside the {num_nodes}-node cluster"
+                    )
+            return message.arrival_ns
+
+        return sorted(messages, key=arrival)
+
     def run(
         self,
-        messages: List[OfferedMessage],
+        messages: Iterable[OfferedMessage],
         *,
         deadline_ns: Optional[float] = None,
     ) -> FabricResult:
-        """Simulate the workload; returns completions (and the unloaded
-        baselines, which implementations fill in via
-        :meth:`measure_unloaded`)."""
+        """Simulate the workload to drain (or ``deadline_ns``).
+
+        Returns the completions plus ``incomplete`` and the run's stats;
+        :meth:`run_with_baselines` also fills in the unloaded baselines.
+        """
+        ordered = self._sorted(messages)
+        ctx = self.new_context()
+        result = FabricResult(fabric=self.name)
+        launch = self._build(ctx, result)
+        sim = ctx.sim
+        # ``partial`` keeps ``launch`` visible to callback introspection
+        # (perfbench charges each arrival to the module defining it).
+        sim.schedule_batch(
+            ((m.arrival_ns, partial(launch, m)) for m in ordered), absolute=True
+        )
+        sim.run(until=deadline_ns)
+        result.incomplete = len(ordered) - len(result.records)
+        stats = ctx.stats
+        stats.incr("messages_offered", len(ordered))
+        for name, value in self._drain_counters().items():
+            stats.incr(name, value)
+        stats.incr("sim_events", sim.events_processed)
+        result.stats = stats.to_dict()
+        return result
+
+    def run_with_baselines(
+        self, messages: Iterable[OfferedMessage], **kwargs
+    ) -> FabricResult:
+        """Run and attach unloaded baselines for normalization (Fig. 8a)."""
+        messages = list(messages)  # a Workload is generated once, not twice
+        result = self.run(messages, **kwargs)
+        read_size, write_size = dominant_sizes(messages)
+        self.attach_unloaded_baselines(result, read_size, write_size)
+        return result
 
     def measure_unloaded(self, size_bytes: int, is_read: bool) -> float:
         """Latency of a single message of this kind in an empty network."""

@@ -25,7 +25,7 @@ Leaves get their own sequence lanes (``2 + N + leaf``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.scheduler import Policy, SchedulerConfig
 from repro.errors import FabricError
@@ -34,8 +34,8 @@ from repro.fabrics.base import (
     CompletionRecord,
     Fabric,
     FabricResult,
+    Launch,
     OfferedMessage,
-    dominant_sizes,
 )
 from repro.host.nic import Completion, CompletionRouter, EdmHostNic, HostConfig
 from repro.memctrl.controller import MemoryController
@@ -265,10 +265,7 @@ class EdmFabric(Fabric):
             return DramTiming(row_hit_ns=0.0, row_miss_ns=0.0, bandwidth_gbps=1e9)
         return DramTiming()
 
-    def run(
-        self, messages, *, deadline_ns: Optional[float] = None
-    ) -> FabricResult:
-        ctx = self.new_context()
+    def _build(self, ctx: SimContext, result: FabricResult) -> Launch:
         cluster = EdmCluster(
             self.config,
             policy=self.policy,
@@ -279,7 +276,6 @@ class EdmFabric(Fabric):
         )
         if self.topology_hook is not None:
             self.topology_hook(cluster.substrate_topology())
-        result = FabricResult(fabric=self.name)
 
         def launch(message: OfferedMessage) -> None:
             nic = cluster.nic(message.src)
@@ -297,38 +293,4 @@ class EdmFabric(Fabric):
             else:
                 nic.write(message.dst, address, message.size_bytes, on_complete)
 
-        if isinstance(messages, (list, tuple)):
-            ctx.sim.schedule_batch(
-                (
-                    (m.arrival_ns, lambda m=m: launch(m))
-                    for m in sorted(messages, key=lambda m: m.arrival_ns)
-                ),
-                absolute=True,
-            )
-            ctx.sim.run(until=deadline_ns)
-            offered = len(messages)
-        else:
-            # A streaming Workload (or any time-ordered iterable): inject
-            # lazily through the event queue, one chunk of arrivals at a time,
-            # so resident memory stays O(1) in message count.  The
-            # feeder's deterministic seq ordering keeps the event order
-            # identical to the materialized batch path.
-            from repro.workloads.api import WorkloadFeeder
-
-            feeder = WorkloadFeeder(ctx.sim, messages, launch).start()
-            ctx.sim.run(until=deadline_ns)
-            offered = feeder.fed
-        result.incomplete = offered - len(result.records)
-        ctx.stats.incr("messages_offered", offered)
-        ctx.stats.incr("sim_events", ctx.sim.events_processed)
-        result.stats = ctx.stats.to_dict()
-        return result
-
-    def run_with_baselines(
-        self, messages: List[OfferedMessage], **kwargs
-    ) -> FabricResult:
-        """Run and attach unloaded baselines for normalization (Fig. 8a)."""
-        result = self.run(messages, **kwargs)
-        read_size, write_size = dominant_sizes(messages)
-        self.attach_unloaded_baselines(result, read_size, write_size)
-        return result
+        return launch

@@ -16,17 +16,17 @@ plane has zero queueing.  All of Fastpass's latency is control-plane.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.fabrics.base import (
-    ClusterConfig,
     CompletionRecord,
     Fabric,
     FabricResult,
+    Launch,
     OfferedMessage,
-    dominant_sizes,
 )
 from repro.mac.frame import frame_wire_bytes
+from repro.sim.context import SimContext
 from repro.sim.link import Link
 from repro.switchfab.l2switch import PIPELINE_NS
 
@@ -46,18 +46,8 @@ class FastpassFabric(Fabric):
     #: at the host (keeps the control queues from growing without bound).
     MAX_OUTSTANDING = 8
 
-    def __init__(self, config: ClusterConfig) -> None:
-        super().__init__(config)
-
-    def run(
-        self,
-        messages: List[OfferedMessage],
-        *,
-        deadline_ns: Optional[float] = None,
-    ) -> FabricResult:
-        ctx = self.new_context()
+    def _build(self, ctx: SimContext, result: FabricResult) -> Launch:
         sim = ctx.sim
-        result = FabricResult(fabric=self.name)
         prop = self.config.propagation_ns
         bandwidth = self.config.link_gbps
 
@@ -119,24 +109,4 @@ class FastpassFabric(Fabric):
             outstanding[node] += 1
             notifications_link.send(message, CONTROL_WIRE_BYTES)
 
-        sim.schedule_batch(
-            (
-                (m.arrival_ns, lambda m=m: launch(m))
-                for m in sorted(messages, key=lambda m: m.arrival_ns)
-            ),
-            absolute=True,
-        )
-        sim.run(until=deadline_ns)
-        result.incomplete = len(messages) - len(result.records)
-        ctx.stats.incr("messages_offered", len(messages))
-        ctx.stats.incr("sim_events", sim.events_processed)
-        result.stats = ctx.stats.to_dict()
-        return result
-
-    def run_with_baselines(
-        self, messages: List[OfferedMessage], **kwargs
-    ) -> FabricResult:
-        result = self.run(messages, **kwargs)
-        read_size, write_size = dominant_sizes(messages)
-        self.attach_unloaded_baselines(result, read_size, write_size)
-        return result
+        return launch

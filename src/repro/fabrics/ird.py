@@ -17,17 +17,17 @@ implicitly by the chunk never arriving, and keeps pacing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.fabrics.base import (
-    ClusterConfig,
     CompletionRecord,
     Fabric,
     FabricResult,
+    Launch,
     OfferedMessage,
-    dominant_sizes,
 )
 from repro.mac.frame import MTU_PAYLOAD_BYTES, frame_wire_bytes
+from repro.sim.context import SimContext
 from repro.switchfab.l2switch import PIPELINE_NS
 
 
@@ -56,18 +56,8 @@ class IrdFabric(Fabric):
     #: Credit chunk granted per pacing slot (one MTU frame).
     CHUNK_BYTES = MTU_PAYLOAD_BYTES
 
-    def __init__(self, config: ClusterConfig) -> None:
-        super().__init__(config)
-
-    def run(
-        self,
-        messages: List[OfferedMessage],
-        *,
-        deadline_ns: Optional[float] = None,
-    ) -> FabricResult:
-        ctx = self.new_context()
+    def _build(self, ctx: SimContext, result: FabricResult) -> Launch:
         sim = ctx.sim
-        result = FabricResult(fabric=self.name)
         receivers: Dict[int, _Receiver] = {
             n: _Receiver(node=n) for n in range(self.config.num_nodes)
         }
@@ -170,24 +160,4 @@ class IrdFabric(Fabric):
             recv.pending.append(flow)
             arm(recv, 0.0)
 
-        sim.schedule_batch(
-            (
-                (m.arrival_ns, lambda m=m: launch(m))
-                for m in sorted(messages, key=lambda m: m.arrival_ns)
-            ),
-            absolute=True,
-        )
-        sim.run(until=deadline_ns)
-        result.incomplete = len(messages) - len(result.records)
-        ctx.stats.incr("messages_offered", len(messages))
-        ctx.stats.incr("sim_events", sim.events_processed)
-        result.stats = ctx.stats.to_dict()
-        return result
-
-    def run_with_baselines(
-        self, messages: List[OfferedMessage], **kwargs
-    ) -> FabricResult:
-        result = self.run(messages, **kwargs)
-        read_size, write_size = dominant_sizes(messages)
-        self.attach_unloaded_baselines(result, read_size, write_size)
-        return result
+        return launch

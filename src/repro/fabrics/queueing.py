@@ -41,10 +41,11 @@ from repro.fabrics.base import (
     CompletionRecord,
     Fabric,
     FabricResult,
+    Launch,
     OfferedMessage,
-    dominant_sizes,
 )
 from repro.mac.frame import MTU_PAYLOAD_BYTES, frame_wire_bytes
+from repro.sim.context import SimContext
 from repro.sim.engine import Process, Simulator
 from repro.sim.link import Link
 from repro.switchfab.l2switch import PIPELINE_NS
@@ -432,6 +433,8 @@ class QueueingFabric(Fabric):
         self.policy = policy
         self.name = policy.name
         self.topology_hook: Optional[Callable[[SubstrateTopology], None]] = None
+        #: The switches of the latest run, read back by _drain_counters.
+        self._switches: List[BaselineSwitch] = []
 
     # -- wiring --------------------------------------------------------- #
 
@@ -562,23 +565,16 @@ class QueueingFabric(Fabric):
 
     # ------------------------------------------------------------------ #
 
-    def run(
-        self,
-        messages: List[OfferedMessage],
-        *,
-        deadline_ns: Optional[float] = None,
-    ) -> FabricResult:
-        ctx = self.new_context()
+    def _build(self, ctx: SimContext, result: FabricResult) -> Launch:
         sim = ctx.sim
         hosts: Dict[int, BaselineHost] = {}
-        result = FabricResult(fabric=self.name)
 
         spec = self.config.topology
         if spec.is_single:
             substrate = self._wire_single(ctx, hosts)
         else:
             substrate = self._wire_leaf_spine(ctx, hosts)
-        switches = list(substrate.switches.values())
+        switches = self._switches = list(substrate.switches.values())
 
         # An ACK/ECN echo reaches the sender about one RTT after delivery.
         # Multi-tier paths cross two extra pipelines and the core both
@@ -679,25 +675,7 @@ class QueueingFabric(Fabric):
         if self.topology_hook is not None:
             self.topology_hook(substrate)
 
-        sim.schedule_batch(
-            (
-                (m.arrival_ns, lambda m=m: launch(m))
-                for m in sorted(messages, key=lambda m: m.arrival_ns)
-            ),
-            absolute=True,
-        )
-        sim.run(until=deadline_ns)
-        result.incomplete = len(messages) - len(result.records)
-        ctx.stats.incr("messages_offered", len(messages))
-        ctx.stats.incr("frames_dropped", sum(sw.drops for sw in switches))
-        ctx.stats.incr("sim_events", sim.events_processed)
-        result.stats = ctx.stats.to_dict()
-        return result
+        return launch
 
-    def run_with_baselines(
-        self, messages: List[OfferedMessage], **kwargs
-    ) -> FabricResult:
-        result = self.run(messages, **kwargs)
-        read_size, write_size = dominant_sizes(messages)
-        self.attach_unloaded_baselines(result, read_size, write_size)
-        return result
+    def _drain_counters(self) -> Dict[str, float]:
+        return {"frames_dropped": sum(sw.drops for sw in self._switches)}

@@ -9,8 +9,9 @@ consume ``.arrivals()`` lazily::
     for message in stream.arrivals():
         ...
 
-The legacy ``generate*`` free functions survive as deprecated
-materializing shims; see the README's migration guide.
+Call ``.materialize()`` when a list is needed.  Every fabric's ``run``
+takes either a list or a workload; the shared run harness sorts it once
+into a list either way.
 """
 
 # The streaming protocol and spec registry (the supported API).
@@ -19,7 +20,6 @@ from repro.workloads.api import (
     RATE_SHAPES,
     RateShape,
     Workload,
-    WorkloadFeeder,
     materialize,
     register_workload,
     substream,
@@ -37,12 +37,7 @@ from repro.workloads.distributions import (
     app_cdf,
     fixed_size,
 )
-from repro.workloads.shapes import (
-    IncastSpec,
-    ShuffleSpec,
-    generate_incast,
-    generate_shuffle,
-)
+from repro.workloads.shapes import IncastSpec, ShuffleSpec
 from repro.workloads.streaming import (
     IncastWorkload,
     ShuffleWorkload,
@@ -51,13 +46,8 @@ from repro.workloads.streaming import (
     YcsbOpsWorkload,
     YcsbSpec,
 )
-from repro.workloads.synthetic import (
-    SyntheticSpec,
-    generate,
-    mean_wire_bytes,
-    microbenchmark,
-)
-from repro.workloads.traces import TraceSpec, all_apps, generate_trace, validate_app
+from repro.workloads.synthetic import SyntheticSpec, mean_wire_bytes, microbenchmark
+from repro.workloads.traces import TraceSpec, all_apps, validate_app
 from repro.workloads.ycsb import (
     READ_VALUE_BYTES,
     WORKLOAD_A,
@@ -69,7 +59,6 @@ from repro.workloads.ycsb import (
     YcsbOp,
     YcsbWorkload,
     ZipfianKeyChooser,
-    generate_ops,
     workload_by_name,
 )
 
@@ -79,7 +68,6 @@ __all__ = [
     "RATE_SHAPES",
     "RateShape",
     "Workload",
-    "WorkloadFeeder",
     "materialize",
     "register_workload",
     "substream",
@@ -123,12 +111,6 @@ __all__ = [
     # Trace helpers
     "all_apps",
     "validate_app",
-    # Non-deprecated convenience
+    # Convenience
     "microbenchmark",
-    # Deprecated shims (to be removed two releases after this one)
-    "generate",
-    "generate_incast",
-    "generate_ops",
-    "generate_shuffle",
-    "generate_trace",
 ]

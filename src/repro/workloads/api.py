@@ -8,7 +8,7 @@ in the message count (streams hold one pending item per merge source,
 never the whole workload), and a million-message arrival process costs
 the same resident memory as a thousand-message one.
 
-Three layers:
+Two layers:
 
 * :class:`RateShape` / :class:`ArrivalProcess` — lazy (optionally
   diurnal- or bursty-modulated) Poisson arrival-time streams, shared by
@@ -18,15 +18,11 @@ Three layers:
   any registered spec dataclass (or a ``{"kind": ...}`` mapping) into a
   streaming workload; new workload families plug in with
   :func:`register_workload`.
-* :class:`WorkloadFeeder` — pumps a stream into a live
-  :class:`~repro.sim.engine.Simulator` chunk by chunk through the
-  simulator's ``schedule_batch``/``post_at``, so the pending-event heap
-  holds one chunk of future arrivals instead of all of them.
 
-The five legacy free functions (``generate``, ``generate_trace``,
-``generate_ops``, ``generate_incast``, ``generate_shuffle``) survive as
-deprecated shims that materialize the corresponding stream; see the
-README's migration guide.
+Every fabric's ``run`` accepts a workload directly: the shared run
+harness sorts it once into a list, exactly like ``.materialize()``, so
+a simulated run holds the whole workload (O(n) memory) while generation
+and iteration alone stay O(1).
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -210,11 +205,10 @@ class Workload(abc.ABC):
         return getattr(self.spec, "message_count", None)
 
     def materialize(self, limit: Optional[int] = None) -> List[Any]:
-        """The stream as a list (the legacy shims' return shape).
+        """The stream as a list.
 
         ``limit`` truncates; prefer consuming :meth:`arrivals` lazily —
-        materializing is O(n) memory and exists for compatibility and
-        tests.
+        materializing is O(n) memory.
         """
         it = self.arrivals()
         if limit is None:
@@ -304,7 +298,7 @@ def workload_from_spec(spec: Any, **overrides: Any) -> Workload:
 
 
 def materialize(spec_or_workload: Any, limit: Optional[int] = None) -> List[Any]:
-    """Materialize a spec or workload into a list (compatibility helper)."""
+    """Materialize a spec or workload into a list."""
     workload = (
         spec_or_workload
         if isinstance(spec_or_workload, Workload)
@@ -313,82 +307,11 @@ def materialize(spec_or_workload: Any, limit: Optional[int] = None) -> List[Any]
     return workload.materialize(limit)
 
 
-# --------------------------------------------------------------------------- #
-# Streaming injection                                                         #
-# --------------------------------------------------------------------------- #
-
-
-class WorkloadFeeder:
-    """Feeds a message stream into a simulator lazily, chunk by chunk.
-
-    Instead of scheduling every arrival up front (O(n) pending events and
-    O(n) resident messages), the feeder pulls ``chunk`` arrivals at a
-    time, bulk-injects them with ``schedule_batch``, and re-arms itself
-    via ``post_at`` at the chunk's horizon — so at any instant the
-    pending-event set holds at most one chunk of future arrivals.  The
-    queue's deterministic ``(time, priority, seq)`` ordering makes a fed
-    run replay identically to a schedule-everything-up-front run of the
-    same stream.
-    """
-
-    def __init__(
-        self,
-        sim: Any,
-        workload: "Workload | Iterable[Any]",
-        launch: Callable[[Any], None],
-        chunk: int = 256,
-    ) -> None:
-        if chunk < 1:
-            raise WorkloadError(f"chunk must be >= 1: {chunk}")
-        self.sim = sim
-        self._iter = iter(workload)
-        self.launch = launch
-        self.chunk = chunk
-        self.fed = 0
-        self._exhausted = False
-
-    def start(self) -> "WorkloadFeeder":
-        """Inject the first chunk; returns self for chaining."""
-        self._pump()
-        return self
-
-    def _pump(self) -> None:
-        if self._exhausted:
-            return
-        launch = self.launch
-        entries = []
-        last_t = None
-        for _ in range(self.chunk):
-            try:
-                message = next(self._iter)
-            except StopIteration:
-                self._exhausted = True
-                break
-            t = getattr(message, "arrival_ns", None)
-            if t is None:
-                raise WorkloadError(
-                    f"feeder needs timestamped arrivals, got {type(message).__name__}"
-                )
-            entries.append((t, lambda m=message: launch(m)))
-            last_t = t
-        if entries:
-            self.fed += len(entries)
-            self.sim.schedule_batch(entries, absolute=True)
-        if not self._exhausted and last_t is not None:
-            # Re-arm at the chunk horizon: later arrivals are >= last_t
-            # (streams are time-ordered), so pulling there never schedules
-            # into the past.  The pump's seq is newer than the chunk's
-            # same-time launches, so it runs after them — identical total
-            # order to a monolithic batch.
-            self.sim.post_at(last_t, self._pump)
-
-
 __all__ = [
     "ArrivalProcess",
     "RATE_SHAPES",
     "RateShape",
     "Workload",
-    "WorkloadFeeder",
     "materialize",
     "register_workload",
     "substream",

@@ -13,20 +13,17 @@ for:
   ``(i + r) mod n``, so each round is a perfect permutation and every
   link carries exactly one flow — until a fault breaks the symmetry.
 
-Both families stream through :mod:`repro.workloads.streaming` with
-explicit 0-based uids in arrival order, matching the synthetic stream's
-determinism contract; the ``generate_*`` functions below are deprecated
-materializing shims.
+Both families stream through :mod:`repro.workloads.streaming` (reach
+them with ``workload_from_spec(spec)``) with explicit 0-based uids in
+arrival order, matching the synthetic stream's determinism contract.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import WorkloadError
-from repro.fabrics.base import OfferedMessage
 
 
 @dataclass(frozen=True)
@@ -76,25 +73,6 @@ class IncastSpec:
             raise WorkloadError(f"write fraction in [0,1]: {self.write_fraction}")
 
 
-def generate_incast(spec: IncastSpec) -> List[OfferedMessage]:
-    """Deprecated: materialize the incast stream as a list.
-
-    .. deprecated::
-        Use ``workload_from_spec(spec)`` and consume ``.arrivals()``
-        lazily.  The stream reproduces this function's historical output
-        bit-for-bit seed-for-seed.
-    """
-    warnings.warn(
-        "generate_incast() is deprecated; build the stream with "
-        "workload_from_spec(spec) and iterate .arrivals()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.workloads.api import workload_from_spec
-
-    return workload_from_spec(spec).materialize()
-
-
 @dataclass(frozen=True)
 class ShuffleSpec:
     """Parameters of an all-to-all shuffle workload.
@@ -133,22 +111,3 @@ class ShuffleSpec:
     @property
     def message_count(self) -> int:
         return self.rounds * self.num_nodes
-
-
-def generate_shuffle(spec: ShuffleSpec) -> List[OfferedMessage]:
-    """Deprecated: materialize the shuffle stream as a list.
-
-    .. deprecated::
-        Use ``workload_from_spec(spec)`` and consume ``.arrivals()``
-        lazily.  The stream reproduces this function's historical output
-        bit-for-bit seed-for-seed.
-    """
-    warnings.warn(
-        "generate_shuffle() is deprecated; build the stream with "
-        "workload_from_spec(spec) and iterate .arrivals()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.workloads.api import workload_from_spec
-
-    return workload_from_spec(spec).materialize()

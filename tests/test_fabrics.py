@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import FabricError
 from repro.fabrics import (
     ClusterConfig,
     CxlFabric,
@@ -12,6 +13,8 @@ from repro.fabrics import (
     PfabricFabric,
     PfcFabric,
     all_fabrics,
+    fabric_by_name,
+    fabric_names,
 )
 from repro.fabrics.base import FabricResult, OfferedMessage, dominant_sizes
 from repro.workloads import microbenchmark
@@ -46,6 +49,40 @@ class TestHarness:
         )
         with pytest.raises(Exception):
             result.mean_normalized_latency()
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("src, dst, node", [(0, 9, 9), (9, 0, 9), (-1, 2, -1)])
+    @pytest.mark.parametrize("name", fabric_names())
+    def test_out_of_range_node_is_a_fabric_error(
+        self, name, src, dst, node, monkeypatch
+    ):
+        fabric = fabric_by_name(name, ClusterConfig(num_nodes=4))
+        # The check runs before the model is wired or any event scheduled.
+        monkeypatch.setattr(
+            type(fabric), "_build", lambda *_: pytest.fail("wired before the check")
+        )
+        good = OfferedMessage(
+            src=0, dst=1, size_bytes=64, arrival_ns=0.0, is_read=True, uid=6,
+        )
+        bad = OfferedMessage(
+            src=src, dst=dst, size_bytes=64, arrival_ns=5.0, is_read=False, uid=7,
+        )
+        with pytest.raises(FabricError, match=rf"uid=7 names node {node}\b"):
+            fabric.run([good, bad])
+
+    @pytest.mark.parametrize("field, value", [
+        ("propagation_ns", -5.0),
+        ("chunk_bytes", 0),
+        ("chunk_bytes", -64),
+        ("max_active_per_pair", 0),
+    ])
+    def test_cluster_config_rejects_invalid_shape(self, field, value):
+        with pytest.raises(FabricError, match=field.split("_")[0]):
+            ClusterConfig(num_nodes=4, **{field: value})
+
+    def test_zero_propagation_is_a_valid_shape(self):
+        assert ClusterConfig(num_nodes=4, propagation_ns=0.0).propagation_ns == 0.0
 
 
 class TestEveryFabricCompletes:

@@ -1,10 +1,10 @@
 """The unified streaming workload API (repro.workloads.api/streaming).
 
 Covers the protocol surface (RateShape, ArrivalProcess, spec registry),
-bit-identity of the streams against the legacy generator algorithms
-(copied here verbatim as reference implementations), the deprecation
-shims, O(1) streaming memory, and WorkloadFeeder == monolithic-batch
-replay equivalence.
+bit-identity of the streams against the original list-building generator
+algorithms (kept here verbatim as reference oracles), O(1) streaming
+memory, and that every fabric runs a Workload exactly like its
+materialized list.
 """
 
 import itertools
@@ -15,14 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
+from repro.fabrics import fabric_by_name, fabric_names
 from repro.fabrics.base import ClusterConfig, OfferedMessage
-from repro.fabrics.edm import EdmFabric
 from repro.mac.frame import message_wire_bytes
 from repro.sim.rng import make_rng
 from repro.workloads.api import (
     ArrivalProcess,
     RateShape,
-    WorkloadFeeder,
     materialize,
     register_workload,
     substream,
@@ -341,61 +340,6 @@ class TestBitIdentity:
 
 
 # --------------------------------------------------------------------------- #
-# Deprecation shims                                                           #
-# --------------------------------------------------------------------------- #
-
-
-class TestDeprecationShims:
-    def test_generate_warns_and_matches_stream(self):
-        from repro.workloads.synthetic import generate
-
-        spec = SyntheticSpec(
-            num_nodes=4, link_gbps=100.0, load=0.5, message_count=50,
-            size_cdf=fixed_size(64), seed=1,
-        )
-        with pytest.deprecated_call():
-            legacy = generate(spec)
-        assert legacy == workload_from_spec(spec).materialize()
-
-    def test_generate_incast_warns_and_matches_stream(self):
-        from repro.workloads.shapes import generate_incast
-
-        spec = IncastSpec(
-            num_nodes=6, link_gbps=100.0, load=0.6, message_count=60, degree=3,
-        )
-        with pytest.deprecated_call():
-            legacy = generate_incast(spec)
-        assert legacy == workload_from_spec(spec).materialize()
-
-    def test_generate_shuffle_warns_and_matches_stream(self):
-        from repro.workloads.shapes import generate_shuffle
-
-        spec = ShuffleSpec(num_nodes=5, link_gbps=100.0, load=0.5, rounds=4)
-        with pytest.deprecated_call():
-            legacy = generate_shuffle(spec)
-        assert legacy == workload_from_spec(spec).materialize()
-
-    def test_generate_trace_warns_and_matches_stream(self):
-        from repro.workloads.traces import generate_trace
-
-        spec = TraceSpec(
-            app="spark", num_nodes=4, link_gbps=100.0, load=0.5,
-            message_count=80, seed=3,
-        )
-        with pytest.deprecated_call():
-            legacy = generate_trace(spec)
-        assert legacy == workload_from_spec(spec).materialize()
-
-    def test_generate_ops_warns_and_matches_stream(self):
-        from repro.workloads.ycsb import WORKLOAD_A, generate_ops
-
-        with pytest.deprecated_call():
-            legacy = generate_ops(WORKLOAD_A, count=120, keyspace=64, seed=9)
-        spec = YcsbSpec(workload="A", message_count=120, keyspace=64, seed=9)
-        assert legacy == workload_from_spec(spec).materialize()
-
-
-# --------------------------------------------------------------------------- #
 # O(1) streaming memory                                                       #
 # --------------------------------------------------------------------------- #
 
@@ -446,56 +390,52 @@ class TestStreamingMemory:
 
 
 # --------------------------------------------------------------------------- #
-# WorkloadFeeder                                                              #
+# Fabrics run a Workload like its materialized list                           #
 # --------------------------------------------------------------------------- #
 
 
-class TestWorkloadFeeder:
-    def test_fed_run_replays_identically_to_batch_run(self):
+class TestWorkloadRuns:
+    @pytest.mark.parametrize("fabric", fabric_names())
+    def test_workload_run_equals_materialized_run(self, fabric):
         spec = _spec_with_count(400)
         config = ClusterConfig(num_nodes=8, link_gbps=100.0, seed=0)
 
-        batch = EdmFabric(config).run(
+        listed = fabric_by_name(fabric, config).run(
             workload_from_spec(spec).materialize(), deadline_ns=1e9
         )
-        fed = EdmFabric(config).run(workload_from_spec(spec), deadline_ns=1e9)
-
-        assert fed.stats["messages_offered"] == 400
-        assert fed.latencies() == batch.latencies()
-        assert fed.incomplete == batch.incomplete
-        # The fed run executes the same schedule plus the feeder's re-arm
-        # pump callbacks: one per chunk after the first.
-        rearms = -(-400 // 256) - 1
-        assert fed.stats["sim_events"] == batch.stats["sim_events"] + rearms
-        for key in batch.stats:
-            if key != "sim_events":
-                assert fed.stats[key] == batch.stats[key], key
-
-    @pytest.mark.parametrize("chunk", [1, 7, 256, 10_000])
-    def test_chunk_size_does_not_change_fed_count_or_order(self, chunk):
-        from repro.sim.engine import Simulator
-
-        spec = IncastSpec(
-            num_nodes=6, link_gbps=100.0, load=0.6, message_count=90, degree=3,
+        streamed = fabric_by_name(fabric, config).run(
+            workload_from_spec(spec), deadline_ns=1e9
         )
-        seen = []
-        sim = Simulator()
-        feeder = WorkloadFeeder(
-            sim, workload_from_spec(spec), seen.append, chunk=chunk
-        ).start()
-        sim.run()
-        assert feeder.fed == 90
-        assert seen == workload_from_spec(spec).materialize()
 
-    def test_rejects_untimestamped_items(self):
-        from repro.sim.engine import Simulator
+        def records(result):
+            return [(r.message, r.completed_at) for r in result.records]
 
-        ops = workload_from_spec(YcsbSpec(workload="A", message_count=5))
-        with pytest.raises(WorkloadError, match="timestamped"):
-            WorkloadFeeder(Simulator(), ops, lambda op: None).start()
+        assert streamed.stats["messages_offered"] == 400
+        assert records(streamed) == records(listed)
+        assert streamed.incomplete == listed.incomplete
+        # Same keys in the same order, sim_events included: both runs
+        # schedule exactly the same events.
+        assert list(streamed.stats.items()) == list(listed.stats.items())
 
-    def test_rejects_bad_chunk(self):
-        from repro.sim.engine import Simulator
+    def test_run_with_baselines_generates_a_workload_once(self, monkeypatch):
+        spec = _spec_with_count(200)
+        config = ClusterConfig(num_nodes=8, link_gbps=100.0, seed=0)
+        listed = fabric_by_name("PFC", config).run_with_baselines(
+            workload_from_spec(spec).materialize()
+        )
 
-        with pytest.raises(WorkloadError):
-            WorkloadFeeder(Simulator(), [], lambda m: None, chunk=0)
+        calls = []
+        arrivals = SyntheticWorkload.arrivals
+
+        def counted(self):
+            calls.append(1)
+            return arrivals(self)
+
+        monkeypatch.setattr(SyntheticWorkload, "arrivals", counted)
+        streamed = fabric_by_name("PFC", config).run_with_baselines(
+            workload_from_spec(spec)
+        )
+        assert len(calls) == 1
+        assert streamed.latencies() == listed.latencies()
+        assert streamed.unloaded_read_ns == listed.unloaded_read_ns
+        assert streamed.unloaded_write_ns == listed.unloaded_write_ns
