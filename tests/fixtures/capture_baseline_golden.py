@@ -5,8 +5,8 @@ Run from the repo root to (re)generate ``baseline_golden.json``::
     PYTHONPATH=src python tests/fixtures/capture_baseline_golden.py
 
 The sibling of ``capture_edm_golden.py``: one small case per non-EDM
-fabric (IRD, pFabric, PFC, DCTCP, CXL, Fastpass), a leaf-spine PFC case
-and a lossy case that drops frames.  Each case pins per-uid completion
+fabric (IRD, pFabric, PFC, DCTCP, CXL, Fastpass), leaf-spine PFC and
+CXL cases, a 32-node PFC incast and a lossy case that drops frames.  Each case pins per-uid completion
 times, ``incomplete`` and the stats dict *with its key order* (stored as
 ``[key, value]`` pairs), so a refactor of the shared run harness can
 prove it changed nothing observable.  The replay test is
@@ -38,7 +38,10 @@ FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "baseline_golden.json")
 #: picks the spec family: synthetic 64 B all-to-all, a heavy-tailed app
 #: trace, or a pure incast storm.  ``deadline_ns`` cuts a run short, so
 #: ``incomplete`` is pinned nonzero; 16 KiB incast overflows pFabric's
-#: small buffers, so ``frames_dropped`` is pinned nonzero.
+#: small buffers, so ``frames_dropped`` is pinned nonzero.  The two
+#: lossless wake cases pin backpressure release: CXL credit returns on
+#: leaf-spine trunk ports, and a 32-node PFC incast whose XONs release
+#: several blocked ingress FIFOs at once, so wake order shows.
 CASES = [
     {
         "name": "ird_synthetic", "fabric": "IRD", "topology": "single",
@@ -80,6 +83,17 @@ CASES = [
         "name": "pfabric_incast_drops", "fabric": "pFabric",
         "topology": "single", "workload": "incast", "num_nodes": 8,
         "load": 1.0, "seed": 8, "count": 80, "size": 16384,
+    },
+    {
+        "name": "cxl_leafspine_trace", "fabric": "CXL",
+        "topology": "leaf-spine:leaves=3,spines=2",
+        "workload": "trace", "num_nodes": 12, "load": 0.6, "seed": 9,
+        "count": 120,
+    },
+    {
+        "name": "pfc_incast_32", "fabric": "PFC", "topology": "single",
+        "workload": "incast", "num_nodes": 32, "load": 1.0, "seed": 10,
+        "count": 200, "size": 4096,
     },
 ]
 

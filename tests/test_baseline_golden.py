@@ -2,8 +2,9 @@
 
 ``tests/fixtures/baseline_golden.json`` pins every completion time,
 ``incomplete`` and the stats dict (key order included) of one small case
-per non-EDM fabric, plus a leaf-spine PFC case, a deadline-cut case and
-a case that drops frames.  Any diff here means a change to the shared
+per non-EDM fabric, plus leaf-spine PFC and CXL cases, a 32-node PFC
+incast whose XONs release several blocked ingress FIFOs, a deadline-cut
+case and a case that drops frames.  Any diff here means a change to the shared
 run harness or a model changed observable behaviour.
 """
 
@@ -44,6 +45,15 @@ def test_fixture_covers_every_baseline_and_the_edge_cases() -> None:
         c["fabric"] == "PFC" and c["topology"].startswith("leaf-spine")
         for c in configs
     ), "need a leaf-spine PFC case"
+    assert any(
+        c["fabric"] == "CXL" and c["topology"].startswith("leaf-spine")
+        for c in configs
+    ), "need a leaf-spine CXL case (credit wakes on trunk ports)"
+    assert any(
+        c["fabric"] == "PFC" and c["workload"] == "incast"
+        and c["num_nodes"] >= 32
+        for c in configs
+    ), "need a PFC incast on >= 32 nodes (XONs with several waiters)"
     stats = [dict(case["stats"]) for case in _GOLDEN["cases"].values()]
     assert any(s.get("frames_dropped", 0) > 0 for s in stats), "need drops"
     assert any(case["incomplete"] > 0 for case in _GOLDEN["cases"].values()), (
