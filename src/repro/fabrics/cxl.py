@@ -8,7 +8,9 @@ port holding traffic for the victim — the head-of-line collapse (§4.3.1,
 excellent unloaded latency.
 
 Credits are small (PCIe receiver buffers are shallow relative to Ethernet
-switch buffers) and there is no rate control to relieve pressure.
+switch buffers) and there is no rate control to relieve pressure.  A
+frame that leaves an egress returns its credits there and advances just
+the ingress FIFOs whose head waits on that egress's credits.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ crosses XOFF, upstream traffic toward it stalls in per-ingress FIFOs —
 introducing the head-of-line blocking the paper (and [95]) highlight: a
 stalled ingress head blocks frames behind it even when their own egress is
 free.  DCQCN's ECN-driven rate control runs on top to keep pauses rarer.
+
+An egress pauses (XOFF) when a frame pushes it to ``PFC_XOFF_BYTES`` and
+resumes (XON) only as it drains to ``PFC_XON_BYTES``; the XON advances
+just the ingress FIFOs whose head waits on that egress.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ DCTCP, pFabric, PFC/DCQCN, and CXL all ride on the same machinery:
 * **The switch** runs the Table 1 L2 pipeline, then either output-queues
   frames per egress port (reactive protocols) or holds them in per-ingress
   FIFOs subject to egress pause/credit state (lossless protocols, which is
-  where head-of-line blocking comes from).
+  where head-of-line blocking comes from).  A blocked FIFO waits on the
+  egress port its head needs; when that port resumes (XON or a credit
+  return) only its waiters advance, in port-attach order, so a wake
+  costs O(FIFOs waiting on that port), not O(ports).
 * **Reads** are modelled faithfully as an RREQ frame to the memory node
   followed by a response message flowing back through the same fabric.
 * **Drops** (finite buffers) trigger sender timeouts — the §2.4 point that
@@ -33,6 +36,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Deque, Dict, Hashable, List, Optional
 
 from repro.errors import FabricError
@@ -88,8 +92,24 @@ class ProtocolPolicy:
     rto_ns: float = DEFAULT_RTO_NS
     use_rate_control: bool = True
 
+    def __post_init__(self) -> None:
+        # A lossless egress must only ever resume on dequeue; the
+        # switch's wake path relies on it (see BaselineSwitch).
+        if self.lossless is not LosslessMode.NONE and self.buffer_bytes is not None:
+            raise FabricError(
+                f"{self.name}: a lossless policy cannot drop, "
+                f"got buffer_bytes={self.buffer_bytes}"
+            )
+        if self.lossless is LosslessMode.PAUSE and not (
+            0 <= self.pause_xon_bytes < self.pause_xoff_bytes
+        ):
+            raise FabricError(
+                f"{self.name}: need 0 <= pause_xon_bytes < pause_xoff_bytes, "
+                f"got {self.pause_xon_bytes} and {self.pause_xoff_bytes}"
+            )
 
-@dataclass
+
+@dataclass(slots=True)
 class FlowMessage:
     """Per-offered-message bookkeeping inside a baseline run."""
 
@@ -108,7 +128,7 @@ class FlowMessage:
         self.remaining_bytes = self.data_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """A MAC frame in flight."""
 
@@ -119,7 +139,6 @@ class Frame:
     seq: int
     is_request: bool = False
     marked: bool = False
-    enqueued_at: float = 0.0
 
     @property
     def priority(self) -> float:
@@ -162,9 +181,10 @@ class BaselineHost(Process):
     def _pump(self) -> None:
         if self._pump_armed or not self._queue:
             return
-        delay = max(0.0, self._next_send_at - self.now)
+        sim = self.sim
+        delay = self._next_send_at - sim.now
         self._pump_armed = True
-        self.post(delay, self._send_head)
+        sim.post(delay if delay > 0.0 else 0.0, self._send_head)
 
     def _send_head(self) -> None:
         self._pump_armed = False
@@ -177,7 +197,7 @@ class BaselineHost(Process):
         # Pacing: the next frame may start once this one would finish at the
         # host's current (possibly reduced) rate.
         paced = frame.wire_bytes * 8.0 / (self.link_gbps * self.rate_factor)
-        self._next_send_at = self.now + paced
+        self._next_send_at = self.sim.now + paced
         self._pump()
 
     # -- congestion feedback (DCTCP control law) ------------------------ #
@@ -198,7 +218,7 @@ class BaselineHost(Process):
             self._acks_marked += 1
         if not self._window_armed:
             self._window_armed = True
-            self.post(self.policy.window_ns, self._close_window)
+            self.sim.post(self.policy.window_ns, self._close_window)
 
     def _close_window(self) -> None:
         self._window_armed = False
@@ -220,7 +240,7 @@ class BaselineHost(Process):
         self._acks_marked = 0
         if self._queue or self.rate_factor < 1.0:
             self._window_armed = True
-            self.post(self.policy.window_ns, self._close_window)
+            self.sim.post(self.policy.window_ns, self._close_window)
 
 
 @dataclass
@@ -230,6 +250,9 @@ class _EgressState:
     paused: bool = False
     credits: int = 0
     serving: bool = False
+    #: Ingress ports whose FIFO head is blocked on this egress (lossless
+    #: modes only), released in attach order when the egress resumes.
+    waiters: List[Hashable] = field(default_factory=list)
 
 
 class BaselineSwitch(Process):
@@ -239,6 +262,15 @@ class BaselineSwitch(Process):
     tier tuples like ``("up", spine)`` / ``("leaf", leaf)`` on multi-tier
     wiring.  ``route``, when set, maps a frame to its egress port;
     ``None`` (the single-switch default) routes straight to ``frame.dst``.
+
+    In the lossless modes every nonempty ingress FIFO has a blocked head
+    — its egress is paused (PAUSE) or short of credits (CREDIT) — and
+    is listed in that egress's ``waiters``.  Only an XON or a credit
+    return unblocks an egress, and only on dequeue: pushing a frame into
+    an egress queue can trigger XOFF but never XON.  So a resuming
+    egress advances just its own waiters, in attach order (the order a
+    scan over every FIFO visits them), and a wake costs O(FIFOs waiting
+    on that port), not O(ports).
     """
 
     def __init__(
@@ -251,10 +283,17 @@ class BaselineSwitch(Process):
         super().__init__(sim, name or f"{policy.name}-switch")
         self.policy = policy
         self.pipeline_ns = pipeline_ns
+        # Policy knobs read on every frame, resolved once.
+        self._lossless = policy.lossless is not LosslessMode.NONE
+        self._pause = policy.lossless is LosslessMode.PAUSE
+        self._credit = policy.lossless is LosslessMode.CREDIT
+        self._srpt = policy.discipline is QueueDiscipline.SRPT
+        self._buffer_bytes = policy.buffer_bytes
+        self._ecn_bytes = policy.ecn_threshold_bytes
         self.egress_links: Dict[Hashable, Link] = {}
         self.egress: Dict[Hashable, _EgressState] = {}
         self.ingress: Dict[Hashable, Deque[Frame]] = {}
-        self._ingress_blocked: Dict[Hashable, bool] = {}
+        self._attach_rank: Dict[Hashable, int] = {}
         self.drops = 0
         self.route: Optional[Callable[[Frame], Hashable]] = None
         self.on_mark: Optional[Callable[[Frame], None]] = None
@@ -266,17 +305,14 @@ class BaselineSwitch(Process):
         state.credits = self.policy.credit_bytes
         self.egress[node_id] = state
         self.ingress[node_id] = deque()
-        self._ingress_blocked[node_id] = False
-
-    def _egress_port(self, frame: Frame) -> Hashable:
-        if self.route is None:
-            return frame.dst
-        return self.route(frame)
+        self._attach_rank[node_id] = len(self._attach_rank)
 
     # -- ingress --------------------------------------------------------- #
 
     def on_ingress(self, frame: Frame) -> None:
-        self.post(self.pipeline_ns, lambda: self._after_pipeline(frame, frame.src))
+        self.sim.post(
+            self.pipeline_ns, partial(self._after_pipeline, frame, frame.src)
+        )
 
     def ingress_receiver(self, port: Hashable) -> Callable[[Frame], None]:
         """A receiver callback tagging arrivals with the ingress ``port``.
@@ -288,76 +324,110 @@ class BaselineSwitch(Process):
         """
 
         def receive(frame: Frame) -> None:
-            self.post(self.pipeline_ns, lambda: self._after_pipeline(frame, port))
+            self.sim.post(
+                self.pipeline_ns, partial(self._after_pipeline, frame, port)
+            )
 
         return receive
 
     def _after_pipeline(self, frame: Frame, port: Hashable) -> None:
-        if self.policy.lossless == LosslessMode.NONE:
-            self._enqueue_egress(frame)
-        else:
-            self.ingress[port].append(frame)
+        if not self._lossless:
+            route = self.route
+            self._enqueue_egress(
+                frame, frame.dst if route is None else route(frame)
+            )
+            return
+        queue = self.ingress[port]
+        queue.append(frame)
+        if len(queue) == 1:
+            # Behind an older frame the FIFO's head is blocked and
+            # already waiting; only a frame that lands at the head can move.
             self._advance_ingress(port)
 
     def _advance_ingress(self, src: Hashable) -> None:
-        """Move ingress head frames to egress while permitted (HoL point)."""
+        """Move ingress head frames to egress while permitted (HoL point).
+
+        Stops at the first head whose egress is paused or short of
+        credits and lists ``src`` among that egress's waiters, so the
+        FIFO ends empty or blocked.
+        """
         queue = self.ingress[src]
+        route = self.route
+        egress = self.egress
+        pause = self._pause
         while queue:
             head = queue[0]
-            state = self.egress[self._egress_port(head)]
-            if self.policy.lossless == LosslessMode.PAUSE and state.paused:
-                return  # head-of-line blocked
-            if (
-                self.policy.lossless == LosslessMode.CREDIT
-                and state.credits < head.wire_bytes
-            ):
+            port = head.dst if route is None else route(head)
+            state = egress[port]
+            if pause:
+                if state.paused:
+                    state.waiters.append(src)
+                    return  # head-of-line blocked
+            elif state.credits < head.wire_bytes:
+                state.waiters.append(src)
                 return  # out of credits: blocked
-            queue.popleft()
-            if self.policy.lossless == LosslessMode.CREDIT:
+            else:
                 state.credits -= head.wire_bytes
-            self._enqueue_egress(head)
+            queue.popleft()
+            self._enqueue_egress(head, port)
+
+    def _wake(self, state: _EgressState) -> None:
+        """Advance the ingress FIFOs waiting on a resumed egress.
+
+        Each one empties or blocks again — possibly on this same egress,
+        listing itself afresh — before the next one runs.
+        """
+        waiters = state.waiters
+        if not waiters:
+            return
+        state.waiters = []
+        if len(waiters) > 1:
+            waiters.sort(key=self._attach_rank.__getitem__)
+        for src in waiters:
+            self._advance_ingress(src)
 
     # -- egress ------------------------------------------------------------ #
 
-    def _enqueue_egress(self, frame: Frame) -> None:
-        port = self._egress_port(frame)
+    def _enqueue_egress(self, frame: Frame, port: Hashable) -> None:
         state = self.egress[port]
         depth = state.queued_bytes
         if (
-            self.policy.buffer_bytes is not None
-            and depth + frame.wire_bytes > self.policy.buffer_bytes
+            self._buffer_bytes is not None
+            and depth + frame.wire_bytes > self._buffer_bytes
         ):
-            self._drop(frame, state)
+            self._drop(frame, port, state)
             return
-        if (
-            self.policy.ecn_threshold_bytes is not None
-            and depth >= self.policy.ecn_threshold_bytes
-        ):
+        if self._ecn_bytes is not None and depth >= self._ecn_bytes:
             frame.marked = True
             if self.on_mark is not None:
                 self.on_mark(frame)
-        frame.enqueued_at = self.now
-        if self.policy.discipline == QueueDiscipline.SRPT:
+        queued = state.queued
+        if self._srpt:
             # Insert by priority (stable for equal priorities).  Index 0 is
             # the frame currently on the wire — it cannot be displaced.
-            floor = 1 if state.serving and state.queued else 0
-            idx = len(state.queued)
-            for i, other in enumerate(state.queued):
+            floor = 1 if state.serving and queued else 0
+            idx = len(queued)
+            for i, other in enumerate(queued):
                 if i < floor:
                     continue
                 if frame.priority < other.priority:
                     idx = i
                     break
-            state.queued.insert(idx, frame)
+            queued.insert(idx, frame)
         else:
-            state.queued.append(frame)
+            queued.append(frame)
         state.queued_bytes += frame.wire_bytes
-        self._update_pause(port)
-        if len(state.queued) == 1:
-            self._serve(port)
+        if (
+            self._pause
+            and not state.paused
+            and state.queued_bytes >= self.policy.pause_xoff_bytes
+        ):
+            state.paused = True  # XOFF
+        if len(queued) == 1:
+            self._serve(port, state)
 
-    def _drop(self, frame: Frame, state: _EgressState) -> None:
-        if self.policy.discipline == QueueDiscipline.SRPT and state.queued:
+    def _drop(self, frame: Frame, port: Hashable, state: _EgressState) -> None:
+        if self._srpt and state.queued:
             # pFabric drops the *lowest priority* resident frame instead,
             # if the arriving frame outranks it.
             worst_idx = max(
@@ -370,52 +440,38 @@ class BaselineSwitch(Process):
                 self.drops += 1
                 if self.on_drop is not None:
                     self.on_drop(worst)
-                self._enqueue_egress(frame)
+                self._enqueue_egress(frame, port)
                 return
         self.drops += 1
         if self.on_drop is not None:
             self.on_drop(frame)
 
-    def _serve(self, port: Hashable) -> None:
-        state = self.egress[port]
+    def _serve(self, port: Hashable, state: _EgressState) -> None:
         if state.serving or not state.queued:
             return
         state.serving = True
         frame = state.queued[0]
         link = self.egress_links[port]
         link.send(frame, frame.wire_bytes)
-        done_at = link.busy_until
-        self.sim.post_at(done_at, lambda: self._served(port, frame))
+        self.sim.post_at(link.busy_until, partial(self._served, port, frame))
 
     def _served(self, port: Hashable, frame: Frame) -> None:
         state = self.egress[port]
         state.serving = False
         state.queued.pop(0)
         state.queued_bytes -= frame.wire_bytes
-        if self.policy.lossless == LosslessMode.CREDIT:
+        if self._credit:
             state.credits += frame.wire_bytes
-            self._kick_all_ingress()
-        self._update_pause(port)
+            self._wake(state)
+        elif (
+            self._pause
+            and state.paused
+            and state.queued_bytes <= self.policy.pause_xon_bytes
+        ):
+            state.paused = False  # XON
+            self._wake(state)
         if state.queued:
-            self._serve(port)
-
-    def _update_pause(self, port: Hashable) -> None:
-        if self.policy.lossless != LosslessMode.PAUSE:
-            return
-        state = self.egress[port]
-        if not state.paused and state.queued_bytes >= self.policy.pause_xoff_bytes:
-            state.paused = True
-        elif state.paused and state.queued_bytes <= self.policy.pause_xon_bytes:
-            state.paused = False
-            self._kick_all_ingress()
-
-    def _kick_all_ingress(self) -> None:
-        for src in self.ingress:
-            if self.ingress[src]:
-                self._advance_ingress(src)
-
-    def total_queued_bytes(self) -> int:
-        return sum(s.queued_bytes for s in self.egress.values())
+            self._serve(port, state)
 
 
 class QueueingFabric(Fabric):

@@ -10,10 +10,9 @@ self-queuing at the sender.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 from heapq import heappush
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.clock import gbps_to_bits_per_ns
 from repro.errors import SimulationError
@@ -45,7 +44,6 @@ class Link(Process):
         self.propagation_ns = propagation_ns
         self.receiver = receiver
         self._tx_free_at = 0.0
-        self._queue: Deque[Tuple[Any, int]] = deque()
         self.bytes_sent = 0
         self.busy_until = 0.0
         self.rate_factor = 1.0
@@ -85,10 +83,6 @@ class Link(Process):
         """
         if time > self._tx_free_at:
             self._tx_free_at = time
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
 
     def send(self, payload: Any, size_bytes: int) -> float:
         """Enqueue ``payload`` for transmission; returns its delivery time.
