@@ -6,10 +6,11 @@ Run from the repo root to (re)generate ``baseline_golden.json``::
 
 The sibling of ``capture_edm_golden.py``: one small case per non-EDM
 fabric (IRD, pFabric, PFC, DCTCP, CXL, Fastpass), leaf-spine PFC and
-CXL cases, a 32-node PFC incast and a lossy case that drops frames.  Each case pins per-uid completion
-times, ``incomplete`` and the stats dict *with its key order* (stored as
-``[key, value]`` pairs), so a refactor of the shared run harness can
-prove it changed nothing observable.  The replay test is
+CXL cases, a 32-node PFC incast and a lossy case that drops frames.
+Each case pins per-uid completion times, ``incomplete`` and the stats
+dict *with its key order* (stored as ``[key, value]`` pairs), so a
+refactor of the shared run harness can prove it changed nothing
+observable.  The replay test is
 ``tests/test_baseline_golden.py``.
 
 Regenerating the fixture is only legitimate when a model's *semantics*
